@@ -64,6 +64,8 @@ from .presentation import (
     ell_value,
     fitting0,
     fitting1,
+    graded_colength,
+    graded_min_gens,
     lemma33_holds,
     remark34_case,
 )
@@ -107,6 +109,8 @@ __all__ = [
     "fitting1",
     "format_ideal",
     "format_monomial",
+    "graded_colength",
+    "graded_min_gens",
     "is_complete",
     "is_simple",
     "lemma33_holds",

@@ -30,7 +30,7 @@ from .oracle import (
     module_min_gens,
     poly_ideal_colength,
 )
-from .presentation import Presentation2, build_Mk, fitting0, fitting1
+from .presentation import Presentation2, build_Mk, fitting0, fitting1, graded_min_gens
 from .render import render_svg
 
 
@@ -306,7 +306,8 @@ def _selftest_cases():
         r = oriented.order()
         for k in range(1, r):
             matrix = build_Mk(oriented, k)
-            if fitting0(matrix) != oriented or module_min_gens(matrix) != r + 2:
+            mu = module_min_gens(matrix)
+            if fitting0(matrix) != oriented or not graded_min_gens(matrix) == mu == r + 2:
                 sweep_ok = False
     yield ("mini sweep over bounds (3,4)", sweep_ok)
 

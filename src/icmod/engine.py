@@ -24,6 +24,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import (
+    DomainError,
     FittingMismatch,
     InternalInconsistency,
     KOutOfRange,
@@ -37,7 +38,16 @@ from .newton import (
     simple_ideal,
     zariski_factor,
 )
-from .presentation import Presentation2, build_Mk, ell_value, fitting0, fitting1
+from .oracle import module_colength, module_min_gens
+from .presentation import (
+    Presentation2,
+    build_Mk,
+    ell_value,
+    fitting0,
+    fitting1,
+    graded_colength,
+    graded_min_gens,
+)
 from .staircase import MonomialIdeal, normalize
 
 
@@ -258,23 +268,15 @@ def valid_k_set(cls: Classification, r: int) -> list[int]:
     return [default] if default is not None else []
 
 
-def _length_refutation(
-    ideal: MonomialIdeal,
-    matrix: Presentation2,
-    factorization: Factorization,
-    ell: int,
-) -> bool:
-    """Refute the only decomposition shape allowed when x y^l is outside I.
+def _split_length(factorization: Factorization, ell: int) -> int:
+    """Module length of the only decomposition shape allowed when x y^l is outside I.
 
     A splitting would force M_k = (x, y^l) + J with (x, y^l) * J = I, so the
-    module length would equal the sum of the two ideal colengths; comparing
-    against the true length (from the truncation oracle) decides it.
+    module length would equal the sum of the two ideal colengths; a true
+    length that differs refutes it.
     """
-    from .oracle import module_colength
-
     partner = reconstruct(factorization.remove(_xy_factor(ell)))
-    split_length = simple_ideal(_xy_factor(ell)).colength() + partner.colength()
-    return module_colength(matrix) != split_length
+    return simple_ideal(_xy_factor(ell)).colength() + partner.colength()
 
 
 def _indecomposability_checks(
@@ -299,7 +301,7 @@ def _indecomposability_checks(
     if factorization.multiplicity(_xy_factor(ell)) < 1:
         checks.append((f"(x,y^{ell})_not_a_factor", True))
         return checks, True
-    ok = _length_refutation(ideal, matrix, factorization, ell)
+    ok = graded_colength(matrix) != _split_length(factorization, ell)
     checks.append(("length_refutes_splitting", ok))
     return checks, ok
 
@@ -402,9 +404,7 @@ def choose_k(
     ell = ell_value(oriented, k)
     fit1_ok = fitting1(matrix) == normalize([(1, 0), (0, ell)])
     checks.append((f"fitting1_equals_(x,y^{ell})", fit1_ok))
-    from .oracle import module_min_gens
-
-    mu_ok = module_min_gens(matrix) == r + 2
+    mu_ok = graded_min_gens(matrix) == r + 2
     checks.append(("min_gens_equals_r_plus_2", mu_ok))
 
     pattern = _pattern_check(cls, oriented, r)
@@ -478,12 +478,25 @@ def certificate_diff(cert: Certificate) -> list[str]:
     for name in ("order", "branch", "factorization", "verdict"):
         if getattr(fresh, name) != getattr(cert, name):
             diffs.append(f"{name} mismatch")
+    expected_checks = fresh.checks
     if cert.k != fresh.k:
-        if not (
+        if (
             cert.branch == Branch.NO_ORDER1_FACTOR
             and cert.k in valid_k_set(classify(oriented), oriented.order())
         ):
+            # another certified k: its checks are those of the decision forced
+            # to that k, as this branch has no pattern check
+            try:
+                expected_checks = choose_k(
+                    working,
+                    forced_k=cert.k,
+                    close_first=cert.closed_input is not None,
+                ).checks
+            except Exception as exc:  # noqa: BLE001
+                return diffs + [f"re-deriving the checks at k={cert.k} failed: {exc}"]
+        else:
             diffs.append("k mismatch")
+            expected_checks = None
     if cert.k is not None:
         try:
             expected_matrix = build_Mk(oriented, cert.k)
@@ -492,8 +505,32 @@ def certificate_diff(cert: Certificate) -> list[str]:
         else:
             if cert.matrix != expected_matrix:
                 diffs.append("matrix mismatch")
-    if cert.k == fresh.k and tuple(cert.checks) != tuple(fresh.checks):
+    if expected_checks is not None and tuple(cert.checks) != tuple(expected_checks):
         diffs.append("checks mismatch")
+    if not diffs and cert.matrix is not None:
+        diffs.extend(_oracle_diffs(cert))
+    return diffs
+
+
+def _oracle_diffs(cert: Certificate) -> list[str]:
+    """Re-derive the recorded mu and length flags with the truncation oracle.
+
+    The decision computes them by the graded count, so a fault in either
+    derivation shows up here as a disagreement.
+    """
+    diffs: list[str] = []
+    try:
+        mu_ok = module_min_gens(cert.matrix) == cert.order + 2
+        if cert.check("min_gens_equals_r_plus_2") != mu_ok:
+            diffs.append("min_gens_equals_r_plus_2 disagrees with the truncation oracle")
+        recorded = cert.check("length_refutes_splitting")
+        if recorded is not None:
+            ell = ell_value(cert.ideal, cert.k)
+            ok = module_colength(cert.matrix) != _split_length(cert.factorization, ell)
+            if recorded != ok:
+                diffs.append("length_refutes_splitting disagrees with the truncation oracle")
+    except DomainError as exc:
+        diffs.append(f"truncation oracle failed: {exc}")
     return diffs
 
 

@@ -60,9 +60,17 @@ class TruncationSpace:
         return self._index.get((coord, c, d))
 
 
-def _rank(rows: Iterable[dict[int, Fraction]]) -> int:
-    """Rank of a sparse row collection by fraction-free-ish elimination."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+def _rank(
+    rows: Iterable[dict[int, Fraction]],
+    pivots: dict[int, dict[int, Fraction]] | None = None,
+) -> int:
+    """Rank of a sparse row collection by fraction-free-ish elimination.
+
+    Given `pivots` from an earlier call, elimination continues on them and
+    the result is the rank of the earlier rows and `rows` together.
+    """
+    if pivots is None:
+        pivots = {}
     for row in rows:
         work = dict(row)
         while work:
@@ -88,13 +96,17 @@ def _rank(rows: Iterable[dict[int, Fraction]]) -> int:
 
 
 def _module_rows(
-    pres: Presentation2, space: TruncationSpace, min_mult_degree: int
+    pres: Presentation2,
+    space: TruncationSpace,
+    min_mult_degree: int,
+    max_mult_degree: int | None = None,
 ) -> Iterator[dict[int, Fraction]]:
     """Rows spanning (monomial multiples of the columns) inside the truncation."""
     n = space.n
     for top, bot in pres.cols:
         low = min(e[0] + e[1] for e in (top, bot) if e is not None)
-        for deg in range(min_mult_degree, n - low):
+        stop = n - low if max_mult_degree is None else min(n - low, max_mult_degree + 1)
+        for deg in range(min_mult_degree, stop):
             for c in range(deg + 1):
                 d = deg - c
                 row: dict[int, Fraction] = {}
@@ -138,9 +150,12 @@ def module_min_gens(pres: Presentation2) -> int:
     base = max(1, ideal.a0 + ideal.br + truncation_margin())
 
     def value(n: int) -> int:
+        # one elimination: the rank of mM first, then the columns themselves
+        # continue on the same pivots, which gives the rank of M
         space = TruncationSpace(n)
-        full = _rank(_module_rows(pres, space, 0))
-        shifted = _rank(_module_rows(pres, space, 1))
+        pivots: dict[int, dict[int, Fraction]] = {}
+        shifted = _rank(_module_rows(pres, space, 1), pivots)
+        full = _rank(_module_rows(pres, space, 0, 0), pivots)
         return full - shifted
 
     got = value(base)

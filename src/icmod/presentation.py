@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import KOutOfRange, NonMonomialMinor, NotMPrimary
+from .errors import KOutOfRange, NonMonomialMinor, NotFiniteColength, NotMPrimary
 from .staircase import Monomial, MonomialIdeal, normalize
 
 Entry = Monomial | None
@@ -133,8 +133,84 @@ def remark34_case(ideal: MonomialIdeal, k: int) -> ContractionCase:
     return ContractionCase.NEITHER
 
 
+def _graded_columns(
+    pres: Presentation2,
+) -> tuple[MonomialIdeal, Monomial, list[tuple[Monomial, int]]]:
+    """Fitt_0, the shift s and each column's (degree, support) in the grading.
+
+    The grading is deg e_0 = (0, 0), deg e_1 = s, with s = top - bottom of a
+    two-entry column ((0, 0) if there is none), so every column is
+    homogeneous.  It is consistent: two two-entry columns (t1, b1), (t2, b2)
+    with shifts s1 != s2 have the minor t1*b2 - t2*b1, whose two terms have
+    the distinct exponents b1+b2+s1 and b1+b2+s2: a binomial, on which
+    `fitting0` raises `NonMonomialMinor`.  That call comes first, so there
+    is no fallback for presentations without a consistent grading.
+    Support is a bitmask: 1 = top row only, 2 = bottom only, 3 = both.
+    """
+    try:
+        ideal = fitting0(pres)
+    except NotMPrimary as exc:
+        raise NotFiniteColength(str(exc)) from exc
+    s = next(
+        ((t[0] - b[0], t[1] - b[1]) for t, b in pres.cols if t is not None and b is not None),
+        (0, 0),
+    )
+    cols: list[tuple[Monomial, int]] = []
+    for top, bot in pres.cols:
+        if bot is None:
+            cols.append((top, 1))
+        else:
+            cols.append(((bot[0] + s[0], bot[1] + s[1]), 2 if top is None else 3))
+    return ideal, s, cols
+
+
+def _graded_rank(cols: list[tuple[Monomial, int]], deg: Monomial, below: bool = False) -> int:
+    """rank M_deg (or, with below, of its part from columns of degree < deg).
+
+    R^2 has dimension <= 2 in each degree, and a monomial multiple of a
+    column keeps the column's support, so the column multiples landing in
+    degree deg span min(2, number of distinct supports among them).
+    """
+    u, v = deg
+    kinds = {
+        kind for (a, b), kind in cols if a <= u and b <= v and not (below and (a, b) == deg)
+    }
+    return min(2, len(kinds))
+
+
+def graded_colength(pres: Presentation2) -> int:
+    """Length of R^2 / M as a sum of exact graded ranks, no truncation.
+
+    x^a_0 and y^b_r lie in Fitt_0, which annihilates R^2 / M, so the quotient
+    vanishes outside the box [0, a_0) x [0, b_r) and its translate by s.
+    """
+    ideal, s, cols = _graded_columns(pres)
+    box = {
+        (u + du, v + dv)
+        for du, dv in ((0, 0), s)
+        for u in range(ideal.a0)
+        for v in range(ideal.br)
+    }
+    total = 0
+    for u, v in box:
+        dim = (u >= 0 and v >= 0) + (u >= s[0] and v >= s[1])
+        total += dim - _graded_rank(cols, (u, v))
+    return total
+
+
+def graded_min_gens(pres: Presentation2) -> int:
+    """mu(M) = sum over column degrees D of dim (M / mM)_D.
+
+    (mM)_D is spanned by the multiples of the columns of degree < D, so
+    dim (M / mM)_D = rank M_D - rank(columns of degree < D).
+    """
+    _, _, cols = _graded_columns(pres)
+    return sum(
+        _graded_rank(cols, deg) - _graded_rank(cols, deg, below=True)
+        for deg in {deg for deg, _ in cols}
+    )
+
+
 def contracted_numeric(pres: Presentation2) -> bool:
     """Numeric contractedness test: mu(M) = ord(Fitt_0) + rank."""
-    from .oracle import module_min_gens
-
-    return module_min_gens(pres) == fitting0(pres).order() + 2
+    return graded_min_gens(pres) == fitting0(pres).order() + 2

@@ -17,6 +17,7 @@ from icmod import (
     ell_value,
     fitting0,
     fitting1,
+    graded_min_gens,
     is_complete,
     module_colength,
     module_min_gens,
@@ -102,7 +103,7 @@ def test_criterion_05_fitting_sweep(capsys, full_enumeration):
             assert fitting0(matrix) == ideal, (ideal, k)
             ell = ell_value(ideal, k)
             assert fitting1(matrix) == normalize([(1, 0), (0, ell)]), (ideal, k)
-            assert module_min_gens(matrix) == r + 2, (ideal, k)
+            assert graded_min_gens(matrix) == module_min_gens(matrix) == r + 2, (ideal, k)
             pairs += 1
     elapsed = time.perf_counter() - start
     assert len(full_enumeration) >= 300

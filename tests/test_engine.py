@@ -14,7 +14,9 @@ from icmod import (
     decide,
     monomial_ideal,
     normalize,
+    build_Mk,
     orient,
+    parse_ideal,
     sufficient_indecomposable,
     valid_k_set,
     verify_certificate,
@@ -238,3 +240,41 @@ class TestCertificates:
         # k mismatch alone is tolerated in the full-range branch, but the
         # recorded matrix no longer matches that k
         assert "matrix mismatch" in certificate_diff(other)
+
+    def test_forged_checks_at_alternative_k_rejected(self):
+        ideal = parse_ideal(
+            "closure((x^2,y^3))*closure((x^3,y^2))*closure((x^2,y^5))"
+        )
+        cert = choose_k(ideal)
+        assert cert.branch == Branch.NO_ORDER1_FACTOR and cert.k == 1
+        forged = dataclasses.replace(
+            cert,
+            k=2,
+            matrix=build_Mk(cert.ideal, 2),
+            checks=(("fitting0_equals_ideal", False),),
+        )
+        assert not verify_certificate(forged)
+        # the same k with the checks re-derived there is certified
+        honest = dataclasses.replace(choose_k(ideal, forced_k=2), forced_k=False)
+        assert certificate_diff(honest) == []
+
+    def test_verifier_catches_a_faulty_graded_count(self, monkeypatch):
+        # the decision and its re-run share the graded count; the verifier's
+        # truncation oracle does not, so a fault there is a disagreement
+        from icmod import engine
+
+        ideal = M ** 3
+        monkeypatch.setattr(engine, "graded_min_gens", lambda pres: 0)
+        cert = choose_k(ideal)
+        assert cert.check("min_gens_equals_r_plus_2") is False
+        assert certificate_diff(cert) == [
+            "min_gens_equals_r_plus_2 disagrees with the truncation oracle"
+        ]
+        monkeypatch.undo()
+        split = engine._split_length(zariski_factor(ideal), 1)
+        monkeypatch.setattr(engine, "graded_colength", lambda pres: split)
+        cert = choose_k(ideal)
+        assert cert.check("length_refutes_splitting") is False
+        assert certificate_diff(cert) == [
+            "length_refutes_splitting disagrees with the truncation oracle"
+        ]

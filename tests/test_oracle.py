@@ -9,6 +9,8 @@ from icmod import (
     closure,
     closure_power_oracle,
     enumerate_complete,
+    graded_colength,
+    graded_min_gens,
     is_complete,
     module_colength,
     module_min_gens,
@@ -35,15 +37,24 @@ class TestModuleOracles:
         right = monomial_ideal((3, 0), (0, 2))
         pres = diagonal_presentation(left, right)
         assert module_colength(pres) == left.colength() + right.colength()
+        assert graded_colength(pres) == left.colength() + right.colength()
 
     def test_split_module_min_gens_adds(self):
         left = monomial_ideal((2, 0), (1, 1), (0, 3))
         right = monomial_ideal((3, 0), (2, 1), (0, 2))
         pres = diagonal_presentation(left, right)
         assert module_min_gens(pres) == len(left.gens) + len(right.gens)
+        assert graded_min_gens(pres) == len(left.gens) + len(right.gens)
 
     def test_min_gens_of_attached_module(self):
         assert module_min_gens(build_Mk(STAIR_B, 3)) == STAIR_B.r + 2
+
+    def test_graded_invariants_match_oracle_for_every_k(self):
+        for ideal in enumerate_complete(5, 6):
+            for k in range(1, ideal.br):
+                pres = build_Mk(ideal, k)
+                assert graded_colength(pres) == module_colength(pres), (ideal, k)
+                assert graded_min_gens(pres) == module_min_gens(pres), (ideal, k)
 
     def test_margin_env(self, monkeypatch):
         monkeypatch.setenv("ICM_TRUNCATION_MARGIN", "5")

@@ -4,6 +4,7 @@ from icmod import (
     ContractionCase,
     KOutOfRange,
     NonMonomialMinor,
+    NotFiniteColength,
     NotMPrimary,
     Presentation2,
     build_Mk,
@@ -11,7 +12,11 @@ from icmod import (
     ell_value,
     fitting0,
     fitting1,
+    graded_colength,
+    graded_min_gens,
     lemma33_holds,
+    module_colength,
+    module_min_gens,
     monomial_ideal,
     normalize,
     remark34_case,
@@ -134,3 +139,26 @@ class TestSufficientConditions:
         assert contracted_numeric(build_Mk(STAIR_B, 3))
         ideal = monomial_ideal((2, 0), (1, 1), (0, 3))
         assert contracted_numeric(build_Mk(ideal, 1))
+
+
+class TestGradedInvariants:
+    def test_inconsistent_grading_is_a_binomial_minor(self):
+        # shifts (1, -1) and (-1, 1): no Z^2-grading makes both columns homogeneous
+        pres = Presentation2((((1, 0), (0, 1)), ((0, 1), (1, 0))))
+        for invariant in (graded_colength, graded_min_gens):
+            with pytest.raises(NonMonomialMinor):
+                invariant(pres)
+
+    def test_cancelling_minor_matches_oracle(self):
+        col = ((1, 0), (0, 1))
+        pres = Presentation2((col, col, ((0, 2), None), (None, (2, 0))))
+        assert graded_colength(pres) == module_colength(pres)
+        assert graded_min_gens(pres) == module_min_gens(pres) == 3
+
+    def test_non_m_primary_fitting0_is_infinite_colength(self):
+        zero = Presentation2((((1, 0), None), ((2, 0), None)))
+        principal = Presentation2((((1, 0), None), (None, (1, 0))))  # Fitt_0 = (x^2)
+        for pres in (zero, principal):
+            for invariant in (graded_colength, graded_min_gens, module_colength, module_min_gens):
+                with pytest.raises(NotFiniteColength):
+                    invariant(pres)
