@@ -18,7 +18,6 @@ from .engine import (
     certificate_diff,
     choose_k,
     classify,
-    decide,
     orient,
     sufficient_indecomposable,
     valid_k_set,
@@ -35,7 +34,7 @@ from .errors import (
     NotMPrimary,
     ParseError,
 )
-from .expr import format_ideal, format_monomial, parse_ideal, parse_monomial
+from .expr import format_ideal, format_monomial, parse_ideal, parse_monomial, parse_polys
 from .newton import (
     Factorization,
     NewtonPolygon,
@@ -69,8 +68,8 @@ from .presentation import (
     lemma33_holds,
     remark34_case,
 )
-from .render import render, render_svg
-from .staircase import UNIT, Monomial, MonomialIdeal, monomial_ideal, normalize
+from .render import render_svg
+from .staircase import Monomial, MonomialIdeal, monomial_ideal, normalize
 
 __all__ = [
     "__version__",
@@ -93,7 +92,6 @@ __all__ = [
     "ParseError",
     "Presentation2",
     "SimpleFactor",
-    "UNIT",
     "Verdict",
     "build_Mk",
     "certificate_diff",
@@ -102,7 +100,6 @@ __all__ = [
     "closure",
     "closure_power_oracle",
     "contracted_numeric",
-    "decide",
     "ell_value",
     "enumerate_complete",
     "fitting0",
@@ -122,10 +119,10 @@ __all__ = [
     "orient",
     "parse_ideal",
     "parse_monomial",
+    "parse_polys",
     "poly_ideal_colength",
     "reconstruct",
     "remark34_case",
-    "render",
     "render_svg",
     "simple_divides",
     "simple_ideal",

@@ -14,7 +14,7 @@ from typing import Any
 from . import __version__
 from .engine import Branch, Certificate, Verdict, choose_k, classify, orient, valid_k_set
 from .errors import DomainError, NotComplete
-from .expr import format_ideal, format_monomial, parse_ideal, parse_monomial
+from .expr import format_ideal, format_monomial, parse_ideal, parse_monomial, parse_polys
 from .newton import (
     Factorization,
     is_complete,
@@ -24,7 +24,6 @@ from .newton import (
 )
 from .newton import closure as ideal_closure
 from .oracle import (
-    Poly,
     enumerate_complete,
     module_colength,
     module_min_gens,
@@ -32,6 +31,7 @@ from .oracle import (
 )
 from .presentation import Presentation2, build_Mk, fitting0, fitting1, graded_min_gens
 from .render import render_svg
+from .staircase import normalize
 
 
 def _emit(args, payload: dict[str, Any], human: str) -> None:
@@ -203,48 +203,17 @@ def _cmd_module_mu(args):
     _emit(args, {"mu": value}, str(value))
 
 
-def _parse_poly(src: str) -> Poly:
-    terms = []
-    chunk = src.replace("-", "+-")
-    for piece in chunk.split("+"):
-        piece = piece.strip()
-        if not piece:
-            continue
-        sign = 1
-        if piece.startswith("-"):
-            sign = -1
-            piece = piece[1:].strip()
-        coef = sign
-        i = 0
-        while i < len(piece) and piece[i].isdigit():
-            i += 1
-        if i and (i == len(piece) or piece[i] in " *xy"):
-            head = piece[:i]
-            rest = piece[i:].lstrip(" *")
-            if rest:
-                coef = sign * int(head)
-                piece = rest
-            elif head:
-                terms.append((sign * int(head), 0, 0))
-                continue
-        a, b = parse_monomial(piece)
-        terms.append((coef, a, b))
-    return terms
-
-
 def _cmd_poly_colength(args):
-    polys = [_parse_poly(p) for p in args.polys.split(",")]
-    value = poly_ideal_colength(polys)
+    value = poly_ideal_colength(parse_polys(args.polys))
     _emit(args, {"colength": value}, str(value))
 
 
 def _cmd_decide(args):
     ideal = parse_ideal(args.expr)
-    if not args.close_first and not is_complete(ideal):
-        raise NotComplete(
-            f"{format_ideal(ideal)} is not integrally closed; pass --close-first"
-        )
-    cert = choose_k(ideal, forced_k=args.k, close_first=args.close_first)
+    try:
+        cert = choose_k(ideal, forced_k=args.k, close_first=args.close_first)
+    except NotComplete as exc:
+        raise NotComplete(f"{exc}; pass --close-first") from exc
     doc = certificate_to_dict(cert, args.expr)
     human = certificate_text(cert)
     if args.show_valid_k and cert.k is not None:
@@ -272,8 +241,6 @@ def _cmd_render(args):
 
 
 def _selftest_cases():
-    from .staircase import normalize
-
     ex52 = parse_ideal("(x^5, x^4*y^2, x^3*y^3, x^2*y^4, x*y^6, y^7)")
     ex53 = parse_ideal("(x^7, x^5*y, x^3*y^2, x^2*y^3, x*y^5, y^9)")
     yield (
@@ -325,6 +292,13 @@ def _cmd_selftest(args):
 # ---------------------------------------------------------------- wiring
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icmod",
@@ -371,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="force this k")
     p.add_argument("--show-valid-k", action="store_true", help="list certified k values")
     p = add("enumerate", _cmd_enumerate, "all complete ideals within bounds", expr=False)
-    p.add_argument("--amax", type=int, required=True)
-    p.add_argument("--bmax", type=int, required=True)
+    p.add_argument("--amax", type=_positive_int, required=True)
+    p.add_argument("--bmax", type=_positive_int, required=True)
     p = add("render", _cmd_render, "write an SVG figure")
     p.add_argument("--out", required=True, help="output SVG path")
     p = sub.add_parser("selftest", help="run built-in consistency checks")

@@ -28,15 +28,15 @@ from .errors import (
     FittingMismatch,
     InternalInconsistency,
     KOutOfRange,
-    NotComplete,
 )
 from .newton import (
     Factorization,
     SimpleFactor,
-    is_complete,
+    closure,
+    hull_factorization,
     reconstruct,
+    require_complete,
     simple_ideal,
-    zariski_factor,
 )
 from .oracle import module_colength, module_min_gens
 from .presentation import (
@@ -150,10 +150,18 @@ def _match_n1(factorization: Factorization) -> tuple[int, int] | None:
     return None
 
 
+def _factor(ideal: MonomialIdeal) -> Factorization | None:
+    """Factorization of a complete ideal; None for the unit ideal (1), of order 0."""
+    return hull_factorization(ideal) if ideal.order() >= 1 else None
+
+
 def classify(ideal: MonomialIdeal) -> Classification:
     """Branch dispatch for a complete, normalized, oriented ideal."""
-    if not is_complete(ideal):
-        raise NotComplete(f"{ideal} is not integrally closed")
+    require_complete(ideal)
+    return _classify(ideal, _factor(ideal))
+
+
+def _classify(ideal: MonomialIdeal, factorization: Factorization | None) -> Classification:
     r = ideal.order()
     if r <= 1:
         return Classification(Branch.NOT_COVERED)
@@ -171,7 +179,7 @@ def classify(ideal: MonomialIdeal) -> Classification:
         raise InternalInconsistency(
             f"oriented complete ideal of order >= 3 with a_(r-1) != 1: {ideal}"
         )
-    factorization = zariski_factor(ideal)
+    assert factorization is not None
     if all(f.order > 1 for f, _ in factorization.factors):
         return Classification(Branch.NO_ORDER1_FACTOR)
     missing = [
@@ -221,12 +229,11 @@ def sufficient_indecomposable(
     x y^l is outside I and (x, y^l) is not a Zariski factor, where
     l = min{b_{r-1}, k, b_r - k}.  False is inconclusive.
     """
-    if not is_complete(ideal):
-        raise NotComplete(f"{ideal} is not integrally closed")
+    require_complete(ideal)
     matrix = build_Mk(ideal, k)  # raises KOutOfRange
     if fitting0(matrix) != ideal:
         raise FittingMismatch(f"Fitt_0(M_{k}) != I for {ideal}")
-    factorization = zariski_factor(ideal)
+    factorization = hull_factorization(ideal)
     if all(f.order > 1 for f, _ in factorization.factors):
         return True, "no simple factor of order one"
     ell = ell_value(ideal, k)
@@ -284,26 +291,26 @@ def _indecomposability_checks(
     matrix: Presentation2,
     factorization: Factorization,
     k: int,
-) -> tuple[list[tuple[str, bool]], bool]:
+) -> list[tuple[str, bool]]:
     """The clause chain of the splitting obstruction, as named checks."""
     checks: list[tuple[str, bool]] = []
     if all(f.order > 1 for f, _ in factorization.factors):
         checks.append(("no_order_one_factor", True))
-        return checks, True
+        return checks
     ell = ell_value(ideal, k)
     if ell < 1:
         checks.append(("fitting1_has_positive_y_exponent", False))
-        return checks, False
+        return checks
     xy_out = not ideal.member((1, ell))
     checks.append((f"xy^{ell}_not_in_ideal", xy_out))
     if not xy_out:
-        return checks, False
+        return checks
     if factorization.multiplicity(_xy_factor(ell)) < 1:
         checks.append((f"(x,y^{ell})_not_a_factor", True))
-        return checks, True
+        return checks
     ok = graded_colength(matrix) != _split_length(factorization, ell)
     checks.append(("length_refutes_splitting", ok))
-    return checks, ok
+    return checks
 
 
 def _pattern_check(
@@ -320,8 +327,6 @@ def _pattern_check(
         )
         return (f"matches_(x,y)^{r - 2}(x^{alpha},y)(x,y^{beta})", expected == ideal)
     if cls.branch == Branch.N4:
-        from .newton import closure
-
         expected = m * normalize([(1, 0), (0, 2)]) * closure(normalize([(3, 0), (0, 2)]))
         return ("matches_(x,y)(x,y^2)cl(x^3,y^2)", expected == ideal)
     if cls.branch in (Branch.CASE_II_1, Branch.CASE_II_2):
@@ -357,42 +362,54 @@ def choose_k(
     forced_k: int | None = None,
     close_first: bool = False,
 ) -> Certificate:
-    """Run the full decision procedure and emit a certificate."""
+    """Run the full decision procedure and emit a certificate.
+
+    The input is checked for completeness (or closed) once; transposing
+    keeps it complete, so the oriented ideal is factored without a check.
+    """
     original = ideal
     closed: MonomialIdeal | None = None
     if close_first:
-        from .newton import closure
-
         closed = closure(ideal)
-        working = closed
         if closed == ideal:
             closed = None
-            working = ideal
     else:
-        if not is_complete(ideal):
-            raise NotComplete(f"{ideal} is not integrally closed")
-        working = ideal
+        require_complete(ideal)
+    working = ideal if closed is None else closed
     oriented, transposed = orient(working)
     r = oriented.order()
-    cls = classify(oriented)
-    factorization = zariski_factor(oriented) if r >= 1 else None
+    factorization = _factor(oriented)
+    cls = _classify(oriented, factorization)
 
     if cls.branch in (Branch.R2_OPEN, Branch.NOT_COVERED) and forced_k is None:
+        k, matrix, checks = None, None, ()
         verdict = Verdict.OPEN if cls.branch == Branch.R2_OPEN else Verdict.NOT_COVERED
-        return Certificate(
-            input=original,
-            closed_input=closed,
-            transposed=transposed,
-            ideal=oriented,
-            order=r,
-            factorization=factorization,
-            branch=cls.branch,
-            k=None,
-            matrix=None,
-            checks=(),
-            verdict=verdict,
-        )
+    else:
+        k, matrix, checks, verdict = _certify(cls, oriented, factorization, forced_k)
+    return Certificate(
+        input=original,
+        closed_input=closed,
+        transposed=transposed,
+        ideal=oriented,
+        order=r,
+        factorization=factorization,
+        branch=cls.branch,
+        k=k,
+        matrix=matrix,
+        checks=checks,
+        verdict=verdict,
+        forced_k=forced_k is not None,
+    )
 
+
+def _certify(
+    cls: Classification,
+    oriented: MonomialIdeal,
+    factorization: Factorization | None,
+    forced_k: int | None,
+) -> tuple[int, Presentation2, tuple[tuple[str, bool], ...], Verdict]:
+    """k, M_k, the named checks and the verdict for a branch the theory covers."""
+    r = oriented.order()
     k = _default_k(cls, r) if forced_k is None else forced_k
     if k is None:
         raise InternalInconsistency(f"no k for branch {cls.branch}")
@@ -412,10 +429,7 @@ def choose_k(
         checks.append(pattern)
 
     assert factorization is not None
-    clause_checks, clause_ok = _indecomposability_checks(
-        oriented, matrix, factorization, k
-    )
-    checks.extend(clause_checks)
+    checks.extend(_indecomposability_checks(oriented, matrix, factorization, k))
 
     # integral closedness of M_k is settled for k <= r-1 whenever
     # Fitt_0(M_k) = I, and for the designated k of the Case II branches
@@ -426,38 +440,17 @@ def choose_k(
     )
 
     all_ok = all(ok for _, ok in checks)
-    if forced_k is not None and (not integrally_closed_known or not clause_ok):
-        verdict = Verdict.UNKNOWN
-    elif all_ok and integrally_closed_known:
-        verdict = Verdict.INDECOMPOSABLE
-    else:
-        verdict = Verdict.UNKNOWN
-    return Certificate(
-        input=original,
-        closed_input=closed,
-        transposed=transposed,
-        ideal=oriented,
-        order=r,
-        factorization=factorization,
-        branch=cls.branch,
-        k=k,
-        matrix=matrix,
-        checks=tuple(checks),
-        verdict=verdict,
-        forced_k=forced_k is not None,
-    )
+    verdict = Verdict.INDECOMPOSABLE if all_ok and integrally_closed_known else Verdict.UNKNOWN
+    return k, matrix, tuple(checks), verdict
 
 
 def certificate_diff(cert: Certificate) -> list[str]:
     """Re-derive every recorded field; list the mismatches (empty means valid)."""
     diffs: list[str] = []
     working = cert.closed_input if cert.closed_input is not None else cert.input
-    if cert.closed_input is not None:
-        from .newton import closure
-
-        if closure(cert.input) != cert.closed_input:
-            diffs.append("closed_input is not the closure of the input")
-            return diffs
+    if cert.closed_input is not None and closure(cert.input) != cert.closed_input:
+        diffs.append("closed_input is not the closure of the input")
+        return diffs
     try:
         oriented, transposed = orient(working)
     except Exception as exc:  # noqa: BLE001 - report, never raise
@@ -536,12 +529,3 @@ def _oracle_diffs(cert: Certificate) -> list[str]:
 
 def verify_certificate(cert: Certificate) -> bool:
     return not certificate_diff(cert)
-
-
-# convenience used by the CLI and tests
-def decide(ideal: MonomialIdeal, **kwargs) -> Certificate:
-    return choose_k(ideal, **kwargs)
-
-
-def certificate_checks_pass(cert: Certificate) -> bool:
-    return all(ok for _, ok in cert.checks)

@@ -8,6 +8,12 @@ Grammar::
     mono   := factor ('*'? factor)*     -- juxtaposition means product
     factor := 'x' ('^' UINT)? | 'y' ('^' UINT)?
 
+Polynomials with integer coefficients (`parse_polys`) start from::
+
+    polys  := poly (',' poly)*
+    poly   := '-'? pterm (('+' | '-') pterm)*
+    pterm  := UINT | mono | UINT '*'? mono
+
 Whitespace is insignificant.  'm' is sugar for (x, y).
 """
 
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
 from .newton import closure as _closure
+from .oracle import Poly, Term
 from .staircase import Monomial, MonomialIdeal, normalize
 
 
@@ -58,7 +65,7 @@ IdealExpr = Gens | Product | Power | Closure | MIdeal
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # one of ( ) , * ^ x y m closure int end
+    kind: str  # one of ( ) , * ^ + - x y m closure int end
     value: int
     pos: int
 
@@ -74,7 +81,7 @@ def _error(src: str, pos: int, message: str) -> ParseError:
     return ParseError(message, line, col)
 
 
-def _tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str, punctuation: str) -> list[_Token]:
     tokens = []
     i = 0
     n = len(src)
@@ -83,7 +90,7 @@ def _tokenize(src: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch in "(),*^":
+        if ch in punctuation:
             tokens.append(_Token(ch, 0, i))
             i += 1
             continue
@@ -111,9 +118,9 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, src: str):
+    def __init__(self, src: str, signs: bool = False):
         self.src = src
-        self.tokens = _tokenize(src)
+        self.tokens = _tokenize(src, "(),*^+-" if signs else "(),*^")
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -130,8 +137,8 @@ class _Parser:
             raise _error(self.src, tok.pos, f"expected {kind!r}, found {tok.kind!r}")
         return tok
 
-    def parse(self) -> IdealExpr:
-        node = self.expr()
+    def parse(self, rule):
+        node = rule()
         tok = self.peek()
         if tok.kind != "end":
             raise _error(self.src, tok.pos, f"trailing input starting at {tok.kind!r}")
@@ -167,10 +174,7 @@ class _Parser:
             return Closure(inner)
         if tok.kind == "(":
             self.next()
-            terms = [self.mono()]
-            while self.peek().kind == ",":
-                self.next()
-                terms.append(self.mono())
+            terms = self.comma_list(self.mono)
             self.expect(")")
             return Gens(tuple(terms))
         raise _error(self.src, tok.pos, f"expected an ideal, found {tok.kind!r}")
@@ -203,9 +207,43 @@ class _Parser:
                 b += exponent
             saw = True
 
+    def comma_list(self, item):
+        out = [item()]
+        while self.peek().kind == ",":
+            self.next()
+            out.append(item())
+        return out
+
+    def poly(self) -> Poly:
+        sign = 1
+        if self.peek().kind == "-":
+            self.next()
+            sign = -1
+        terms = [self.pterm(sign)]
+        while self.peek().kind in ("+", "-"):
+            sign = 1 if self.next().kind == "+" else -1
+            terms.append(self.pterm(sign))
+        return terms
+
+    def pterm(self, sign: int) -> Term:
+        tok = self.peek()
+        if tok.kind != "int":
+            return (sign, *self.mono())
+        self.next()
+        if self.peek().kind in ("*", "x", "y"):
+            return (sign * tok.value, *self.mono())
+        return (sign * tok.value, 0, 0)
+
 
 def parse(src: str) -> IdealExpr:
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    return parser.parse(parser.expr)
+
+
+def parse_polys(src: str) -> list[Poly]:
+    """Comma separated polynomials as (coefficient, a, b) terms, e.g. "x^3, y^3, x - 2*y"."""
+    parser = _Parser(src, signs=True)
+    return parser.parse(lambda: parser.comma_list(parser.poly))
 
 
 def evaluate(node: IdealExpr) -> MonomialIdeal:

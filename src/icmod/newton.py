@@ -116,14 +116,24 @@ def is_complete(ideal: MonomialIdeal) -> bool:
     return closure(ideal) == ideal
 
 
-def zariski_factor(ideal: MonomialIdeal) -> Factorization:
-    """Unique decomposition of a complete ideal into simple factors.
-
-    Each hull edge of lattice width dp and height dq contributes the simple
-    factor (dp/d, dq/d) with multiplicity d = gcd(dp, dq).
-    """
+def require_complete(ideal: MonomialIdeal) -> None:
     if not is_complete(ideal):
         raise NotComplete(f"{ideal} is not integrally closed")
+
+
+def zariski_factor(ideal: MonomialIdeal) -> Factorization:
+    """Unique decomposition of a complete ideal into simple factors."""
+    require_complete(ideal)
+    return hull_factorization(ideal)
+
+
+def hull_factorization(ideal: MonomialIdeal) -> Factorization:
+    """The simple factors read off the Newton polygon, with no completeness check.
+
+    Each hull edge of lattice width dp and height dq contributes the simple
+    factor (dp/d, dq/d) with multiplicity d = gcd(dp, dq).  Closure keeps
+    the hull, so on a complete ideal this is `zariski_factor`.
+    """
     counts: Counter[SimpleFactor] = Counter()
     np_ = newton_vertices(ideal)
     for (p0, q0), (p1, q1) in zip(np_.vertices, np_.vertices[1:]):

@@ -13,13 +13,13 @@ validated against.
 
 from __future__ import annotations
 
-import os
+import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InternalInconsistency, NotFiniteColength, NotMPrimary
+from .errors import InternalInconsistency, NotFiniteColength
 from .newton import Factorization, SimpleFactor, reconstruct
-from .presentation import Presentation2, fitting0
+from .presentation import Presentation2, finite_fitting0
 from .staircase import Monomial, MonomialIdeal
 
 # polynomial term: (coefficient, x-exponent, y-exponent)
@@ -28,14 +28,12 @@ Poly = Sequence[Term]
 
 
 def truncation_margin() -> int:
-    raw = os.environ.get("ICM_TRUNCATION_MARGIN", "2")
-    try:
-        margin = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"ICM_TRUNCATION_MARGIN must be an integer, got {raw!r}") from exc
-    if margin < 0:
-        raise ValueError(f"ICM_TRUNCATION_MARGIN must be >= 0, got {margin}")
-    return margin
+    """Degrees past a_0 + b_r at which `module_min_gens` truncates.
+
+    They are slack: m^(a_0+b_r-1) lies in I = Fitt_0 and Fitt_0 R^2 in M, so
+    m^(a_0+b_r) R^2 lies in mM and degrees below a_0 + b_r hold all of M/mM.
+    """
+    return 2
 
 
 class TruncationSpace:
@@ -120,33 +118,29 @@ def _module_rows(
                     yield row
 
 
-def _fitting0_for_oracle(pres: Presentation2) -> MonomialIdeal:
-    try:
-        return fitting0(pres)
-    except NotMPrimary as exc:
-        raise NotFiniteColength(str(exc)) from exc
+def _rechecked(value: Callable[[int], int], n: int, what: str) -> int:
+    """value(n), after checking that the truncation at n + 1 agrees."""
+    got = value(n)
+    if got != value(n + 1):
+        raise InternalInconsistency(f"{what} unstable between truncations {n} and {n + 1}")
+    return got
 
 
 def module_colength(pres: Presentation2) -> int:
     """Length of R^2 / M, computed in a truncation and re-checked at N+1."""
-    ideal = _fitting0_for_oracle(pres)
+    ideal = finite_fitting0(pres)
     base = max(1, ideal.a0 + ideal.br)
 
     def value(n: int) -> int:
         space = TruncationSpace(n)
         return space.dim - _rank(_module_rows(pres, space, 0))
 
-    got = value(base)
-    if got != value(base + 1):
-        raise InternalInconsistency(
-            f"module colength unstable between truncations {base} and {base + 1}"
-        )
-    return got
+    return _rechecked(value, base, "module colength")
 
 
 def module_min_gens(pres: Presentation2) -> int:
     """Minimal number of generators, as dim of M / mM in a truncation."""
-    ideal = _fitting0_for_oracle(pres)
+    ideal = finite_fitting0(pres)
     base = max(1, ideal.a0 + ideal.br + truncation_margin())
 
     def value(n: int) -> int:
@@ -158,12 +152,7 @@ def module_min_gens(pres: Presentation2) -> int:
         full = _rank(_module_rows(pres, space, 0, 0), pivots)
         return full - shifted
 
-    got = value(base)
-    if got != value(base + 1):
-        raise InternalInconsistency(
-            f"minimal generator count unstable between truncations {base} and {base + 1}"
-        )
-    return got
+    return _rechecked(value, base, "minimal generator count")
 
 
 def _poly_rows(polys: Sequence[Poly], space: TruncationSpace) -> Iterator[dict[int, Fraction]]:
@@ -227,8 +216,6 @@ def closure_power_oracle(m: Monomial, ideal: MonomialIdeal, n_max: int) -> bool:
 
 
 def _primitive_pairs(bound_a: int, bound_b: int) -> list[SimpleFactor]:
-    import math
-
     pairs = [
         SimpleFactor(p, q)
         for p in range(1, bound_a + 1)

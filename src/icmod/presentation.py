@@ -10,7 +10,7 @@ rule below enforces.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import KOutOfRange, NonMonomialMinor, NotFiniteColength, NotMPrimary
 from .staircase import Monomial, MonomialIdeal, normalize
@@ -24,8 +24,6 @@ class Presentation2:
     """Columns of a 2 x m matrix of optional monomials spanning M inside R^2."""
 
     cols: tuple[Column, ...]
-    source: MonomialIdeal | None = field(default=None, compare=False)
-    k: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.cols:
@@ -33,31 +31,26 @@ class Presentation2:
         if any(top is None and bot is None for top, bot in self.cols):
             raise ValueError("all-empty column")
 
-    def transpose_xy(self) -> "Presentation2":
-        """Swap the roles of x and y (entry exponents and the two rows)."""
 
-        def sw(e: Entry) -> Entry:
-            return None if e is None else (e[1], e[0])
-
-        return Presentation2(tuple((sw(bot), sw(top)) for top, bot in self.cols))
-
-    def permuted(self, order: list[int]) -> "Presentation2":
-        return Presentation2(tuple(self.cols[i] for i in order))
+def _checked_br(ideal: MonomialIdeal, k: int) -> int:
+    """b_r, after checking that the module parameter k lies in 1 <= k < b_r."""
+    br = ideal.br
+    if not 1 <= k < br:
+        raise KOutOfRange(f"k={k} outside 1 <= k < b_r={br}")
+    return br
 
 
 def build_Mk(ideal: MonomialIdeal, k: int) -> Presentation2:
     """The 2 x (r+2) presentation of M_k(I); requires 1 <= k < b_r and r >= 1."""
     if ideal.is_unit or ideal.r < 1:
         raise NotMPrimary("M_k needs a proper m-primary ideal with r >= 1")
-    br = ideal.br
-    if not 1 <= k < br:
-        raise KOutOfRange(f"k={k} outside 1 <= k < b_r={br}")
+    br = _checked_br(ideal, k)
     cols: list[Column] = []
     for a, b in ideal.gens[:-1]:
         cols.append(((a - 1, b), None))
     cols.append(((0, k), (1, 0)))
     cols.append((None, (0, br - k)))
-    return Presentation2(tuple(cols), source=ideal, k=k)
+    return Presentation2(tuple(cols))
 
 
 def _mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -89,6 +82,14 @@ def fitting0(pres: Presentation2) -> MonomialIdeal:
     return normalize(gens)
 
 
+def finite_fitting0(pres: Presentation2) -> MonomialIdeal:
+    """Fitt_0 of a module of finite colength: a zero Fitt_0 is NotFiniteColength."""
+    try:
+        return fitting0(pres)
+    except NotMPrimary as exc:
+        raise NotFiniteColength(str(exc)) from exc
+
+
 def fitting1(pres: Presentation2) -> MonomialIdeal:
     """Ideal generated by all nonzero matrix entries."""
     gens = [e for col in pres.cols for e in col if e is not None]
@@ -97,18 +98,14 @@ def fitting1(pres: Presentation2) -> MonomialIdeal:
 
 def ell_value(ideal: MonomialIdeal, k: int) -> int:
     """min{b_{r-1}, k, b_r - k}, the y-exponent of Fitt_1(M_k)."""
-    br = ideal.br
-    if not 1 <= k < br:
-        raise KOutOfRange(f"k={k} outside 1 <= k < b_r={br}")
+    br = _checked_br(ideal, k)
     return min(ideal.bvec[-2], k, br - k)
 
 
 def lemma33_holds(ideal: MonomialIdeal, k: int) -> bool:
     """b_i + b_r - k >= b_{i+1} for all i; guarantees Fitt_0(M_k) = I."""
     b = ideal.bvec
-    br = b[-1]
-    if not 1 <= k < br:
-        raise KOutOfRange(f"k={k} outside 1 <= k < b_r={br}")
+    br = _checked_br(ideal, k)
     return all(b[i] + br - k >= b[i + 1] for i in range(len(b) - 1))
 
 
@@ -122,9 +119,7 @@ def remark34_case(ideal: MonomialIdeal, k: int) -> ContractionCase:
     """Which of the two easy sufficient conditions for Fitt_0(M_k) = I applies."""
     b = ideal.bvec
     r = ideal.r
-    br = b[-1]
-    if not 1 <= k < br:
-        raise KOutOfRange(f"k={k} outside 1 <= k < b_r={br}")
+    br = _checked_br(ideal, k)
     if k <= r - 1:
         return ContractionCase.CASE1
     gap = br - b[-2]
@@ -147,10 +142,7 @@ def _graded_columns(
     is no fallback for presentations without a consistent grading.
     Support is a bitmask: 1 = top row only, 2 = bottom only, 3 = both.
     """
-    try:
-        ideal = fitting0(pres)
-    except NotMPrimary as exc:
-        raise NotFiniteColength(str(exc)) from exc
+    ideal = finite_fitting0(pres)
     s = next(
         ((t[0] - b[0], t[1] - b[1]) for t, b in pres.cols if t is not None and b is not None),
         (0, 0),

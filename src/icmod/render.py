@@ -20,8 +20,6 @@ _AXIS = "#404040"
 
 
 def render_svg(ideal: MonomialIdeal) -> str:
-    if ideal.is_unit:
-        raise ValueError("cannot render the unit ideal")
     np_ = newton_vertices(ideal)
     xmax = ideal.a0 + 1
     ymax = ideal.br + 1
@@ -92,9 +90,3 @@ def render_svg(ideal: MonomialIdeal) -> str:
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def render(ideal: MonomialIdeal, out: str) -> None:
-    svg = render_svg(ideal)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(svg)

@@ -84,11 +84,6 @@ class MonomialIdeal:
 
     __mul__ = product
 
-    def sum(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        return normalize(list(self.gens) + list(other.gens))
-
-    __add__ = sum
-
     def power(self, n: int) -> "MonomialIdeal":
         if n < 1:
             raise ValueError(f"power exponent must be >= 1, got {n}")
@@ -120,15 +115,6 @@ class MonomialIdeal:
             total += (a_i - a_next) * b_next
         return total
 
-    def min_y_exponents(self) -> list[int]:
-        """For u in 0..a0-1, the least v with x^u y^v in the ideal."""
-        # column u lies in [a_{i+1}, a_i) and has height b_{i+1}
-        heights = [0] * self.a0
-        for (a_i, _), (a_next, b_next) in zip(self.gens, self.gens[1:]):
-            for u in range(a_next, a_i):
-                heights[u] = b_next
-        return heights
-
     def __str__(self) -> str:
         from .expr import format_ideal
 
@@ -145,9 +131,6 @@ def normalize(raw: Iterable[Monomial]) -> MonomialIdeal:
     if gens[-1][0] != 0:
         raise NotMPrimary("no pure y-power among the generators")
     return MonomialIdeal(tuple(gens))
-
-
-UNIT = MonomialIdeal(((0, 0),))
 
 
 def monomial_ideal(*gens: Monomial) -> MonomialIdeal:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from icmod import format_ideal
 from icmod.cli import main
 
 STAIR_A_SRC = "(x^5, x^4*y^2, x^3*y^3, x^2*y^4, x*y^6, y^7)"
@@ -71,6 +73,8 @@ class TestModuleCommands:
     def test_poly_colength(self, capsys):
         assert run(capsys, "poly-colength", "x^3, y^3, x+y")[1].strip() == "3"
         assert run(capsys, "poly-colength", "x^2 - y^3, x*y")[1].strip() == "5"
+        code, _, err = run(capsys, "poly-colength", "x^3, y^3, x+y+")
+        assert code == 1 and "(line 1, column 15)" in err
 
 
 class TestDecide:
@@ -108,6 +112,27 @@ class TestDecide:
         code, out, _ = run(capsys, "decide", "(x^3, y^2)", "--close-first")
         assert code == 0 and "closure taken" in out
 
+    def test_unit_ideal_is_not_covered(self, capsys):
+        code, out, _ = run(capsys, "decide", "(1)", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["branch"] == doc["verdict"] == "NotCovered"
+        assert doc["factorization"] is None and doc["k"] is None
+        code, _, err = run(capsys, "decide", "(1)", "--k", "1")
+        assert code == 1 and "M_k needs a proper m-primary ideal" in err
+
+    def test_json_golden_over_6_8(self, capsys, full_enumeration):
+        # SHA-256 of the 375 documents of the (6,8) enumeration, in order;
+        # a refactor of the decision must leave every byte in place
+        digest = hashlib.sha256()
+        for ideal in full_enumeration:
+            code, out, _ = run(capsys, "decide", format_ideal(ideal), "--json")
+            assert code == 0
+            digest.update(out.encode())
+        assert len(full_enumeration) == 375
+        assert digest.hexdigest() == (
+            "bce78245c51d3af58411bb80f0da5321482a0dd2c62d36ebaef328985194d5c9"
+        )
+
     def test_forced_k(self, capsys):
         _, out, _ = run(capsys, "decide", STAIR_B_SRC, "--k", "7", "--json")
         assert json.loads(out)["verdict"] == "Unknown"
@@ -141,6 +166,12 @@ class TestOtherCommands:
         assert out_file.read_bytes() == first
         assert first.startswith(b"<svg ")
 
+    def test_render_unit_ideal_is_a_domain_error(self, capsys, tmp_path):
+        out_file = tmp_path / "fig.svg"
+        code, _, err = run(capsys, "render", "(1)", "--out", str(out_file))
+        assert code == 1 and err.startswith("error: ")
+        assert not out_file.exists()
+
     def test_selftest(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == 0 and "all checks passed" in out
@@ -162,4 +193,10 @@ class TestExitCodes:
         assert info.value.code == 2
         with pytest.raises(SystemExit) as info:
             main(["construct", "(x,y^2)"])  # missing --k
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("bounds", [("0", "1"), ("1", "0"), ("-2", "3"), ("two", "3")])
+    def test_enumerate_bounds_must_be_positive(self, bounds):
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "--amax", bounds[0], "--bmax", bounds[1]])
         assert info.value.code == 2

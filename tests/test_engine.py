@@ -11,7 +11,6 @@ from icmod import (
     choose_k,
     classify,
     closure,
-    decide,
     monomial_ideal,
     normalize,
     build_Mk,
@@ -147,6 +146,21 @@ class TestChooseK:
         assert cert.branch == Branch.NOT_COVERED
         assert cert.verdict == Verdict.NOT_COVERED and cert.k is None
 
+    def test_one_completeness_check_per_decision(self, monkeypatch, small_complete):
+        from icmod import newton
+
+        checked = []
+        is_complete = newton.is_complete
+        monkeypatch.setattr(
+            newton, "is_complete", lambda ideal: checked.append(ideal) or is_complete(ideal)
+        )
+        for ideal in small_complete:
+            checked.clear()
+            choose_k(ideal)
+            assert checked == [ideal]
+            choose_k(ideal, close_first=True)  # closes instead of checking
+            assert checked == [ideal]
+
     def test_close_first(self):
         raw = monomial_ideal((3, 0), (0, 2))
         with pytest.raises(NotComplete):
@@ -167,9 +181,6 @@ class TestChooseK:
     def test_forced_k_out_of_range_raises(self):
         with pytest.raises(KOutOfRange):
             choose_k(STAIR_B, forced_k=9)
-
-    def test_decide_alias(self):
-        assert decide(STAIR_B).k == choose_k(STAIR_B).k
 
     def test_orientation_invariance(self, small_complete):
         for ideal in small_complete:

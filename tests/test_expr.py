@@ -10,6 +10,7 @@ from icmod import (
     normalize,
     parse_ideal,
     parse_monomial,
+    parse_polys,
 )
 
 
@@ -77,6 +78,44 @@ class TestIdealExpressions:
     def test_domain_errors_keep_their_type(self):
         with pytest.raises(NotMPrimary):
             parse_ideal("(x^2, x*y)")
+
+
+class TestPolynomials:
+    @pytest.mark.parametrize(
+        "src, terms",
+        [
+            ("x+y", [[(1, 1, 0), (1, 0, 1)]]),
+            ("x^2 - y^3", [[(1, 2, 0), (-1, 0, 3)]]),
+            ("x^3, y^3, x+y", [[(1, 3, 0)], [(1, 0, 3)], [(1, 1, 0), (1, 0, 1)]]),
+            ("x+1*y", [[(1, 1, 0), (1, 0, 1)]]),
+            ("x-3*y", [[(1, 1, 0), (-3, 0, 1)]]),
+            ("-2 x*y + 5y^2 - 7", [[(-2, 1, 1), (5, 0, 2), (-7, 0, 0)]]),
+        ],
+    )
+    def test_accepted_forms(self, src, terms):
+        assert parse_polys(src) == terms
+
+    @pytest.mark.parametrize(
+        "src, col",
+        [
+            ("x^3, y^3, x+y+", 15),
+            ("x^3,,y^3", 5),
+            ("x^3, y^3,", 10),
+            ("x + + y", 5),
+            ("+x", 1),
+            ("2*", 2),
+            ("x^3, (y^3)", 6),
+        ],
+    )
+    def test_rejected_forms_carry_position(self, src, col):
+        with pytest.raises(ParseError) as info:
+            parse_polys(src)
+        assert info.value.line == 1 and info.value.col == col
+
+    def test_signs_are_not_ideal_syntax(self):
+        with pytest.raises(ParseError) as info:
+            parse_ideal("(x-y)")
+        assert "unexpected character '-'" in str(info.value)
 
 
 class TestFormatting:

@@ -18,7 +18,7 @@ from icmod import (
     normalize,
     poly_ideal_colength,
 )
-from icmod.oracle import ideal_as_polys, truncation_margin
+from icmod.oracle import ideal_as_polys
 from tests.conftest import brute_ideals
 
 STAIR_B = monomial_ideal((7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9))
@@ -55,18 +55,6 @@ class TestModuleOracles:
                 pres = build_Mk(ideal, k)
                 assert graded_colength(pres) == module_colength(pres), (ideal, k)
                 assert graded_min_gens(pres) == module_min_gens(pres), (ideal, k)
-
-    def test_margin_env(self, monkeypatch):
-        monkeypatch.setenv("ICM_TRUNCATION_MARGIN", "5")
-        assert truncation_margin() == 5
-        monkeypatch.setenv("ICM_TRUNCATION_MARGIN", "-1")
-        with pytest.raises(ValueError):
-            truncation_margin()
-        monkeypatch.setenv("ICM_TRUNCATION_MARGIN", "x")
-        with pytest.raises(ValueError):
-            truncation_margin()
-        monkeypatch.delenv("ICM_TRUNCATION_MARGIN")
-        assert truncation_margin() == 2
 
 
 class TestPolynomialColength:

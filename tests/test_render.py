@@ -1,6 +1,6 @@
 import pytest
 
-from icmod import monomial_ideal, normalize, render, render_svg
+from icmod import NotMPrimary, monomial_ideal, normalize, render_svg
 
 STAIR_A = monomial_ideal((5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7))
 
@@ -27,12 +27,6 @@ def test_contains_polygon_and_region():
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
 
 
-def test_writes_file(tmp_path):
-    out = tmp_path / "fig.svg"
-    render(STAIR_A, str(out))
-    assert out.read_text(encoding="utf-8") == render_svg(STAIR_A)
-
-
 def test_unit_ideal_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotMPrimary):
         render_svg(normalize([(0, 0)]))
