@@ -33,6 +33,7 @@ from .errors import (
     NotFiniteColength,
     NotMPrimary,
     ParseError,
+    SizeBudgetExceeded,
 )
 from .expr import format_ideal, format_monomial, parse_ideal, parse_monomial, parse_polys
 from .newton import (
@@ -92,6 +93,7 @@ __all__ = [
     "ParseError",
     "Presentation2",
     "SimpleFactor",
+    "SizeBudgetExceeded",
     "Verdict",
     "build_Mk",
     "certificate_diff",

@@ -33,6 +33,10 @@ class InternalInconsistency(DomainError):
     """A structural fact the theory guarantees failed to hold; indicates a bug."""
 
 
+class SizeBudgetExceeded(DomainError):
+    """An ideal expression would multiply out more generator pairs than the budget."""
+
+
 class ParseError(DomainError):
     """Syntax error in the surface expression language."""
 

@@ -15,13 +15,16 @@ Polynomials with integer coefficients (`parse_polys`) start from::
     pterm  := UINT | mono | UINT '*'? mono
 
 Whitespace is insignificant.  'm' is sugar for (x, y).
+
+`evaluate` refuses a product or power whose multiplication could form more
+than `MAX_PRODUCT_CANDIDATES` generator pairs, before forming any of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, SizeBudgetExceeded
 from .newton import closure as _closure
 from .oracle import Poly, Term
 from .staircase import Monomial, MonomialIdeal, normalize
@@ -184,7 +187,7 @@ class _Parser:
         saw = False
         while True:
             tok = self.peek()
-            if tok.kind == "*" and self.tokens[self.pos + 1].kind in ("x", "y"):
+            if tok.kind == "*" and saw and self._factor_follows():
                 self.next()
                 continue
             if tok.kind == "int" and not saw and tok.value == 1:
@@ -230,9 +233,15 @@ class _Parser:
         if tok.kind != "int":
             return (sign, *self.mono())
         self.next()
-        if self.peek().kind in ("*", "x", "y"):
+        if self.peek().kind == "*" and self._factor_follows():
+            self.next()
+        if self.peek().kind in ("x", "y"):
             return (sign * tok.value, *self.mono())
         return (sign * tok.value, 0, 0)
+
+    def _factor_follows(self) -> bool:
+        """Whether the token after the current one starts a factor."""
+        return self.tokens[self.pos + 1].kind in ("x", "y")
 
 
 def parse(src: str) -> IdealExpr:
@@ -246,15 +255,42 @@ def parse_polys(src: str) -> list[Poly]:
     return parser.parse(lambda: parser.comma_list(parser.poly))
 
 
+# The most generator pairs one multiplication may form.  `staircase.product`
+# builds a candidate per pair, so this caps the work of one product or power
+# node: m^998 * m^998, just under it, takes 0.3 s and 150 MB (Python 3.11).
+MAX_PRODUCT_CANDIDATES = 1_000_000
+
+
+def _gen_bound(ideal: MonomialIdeal, n: int = 1) -> int:
+    """At most this many minimal generators in I^n: a_0 and b_r scale by n,
+    and a staircase has at most min(a_0, b_r) + 1 corners."""
+    return n * min(ideal.a0, ideal.br) + 1
+
+
+def _within_budget(what: str, candidates: int) -> None:
+    if candidates > MAX_PRODUCT_CANDIDATES:
+        raise SizeBudgetExceeded(
+            f"{what} could form {candidates} generator pairs, "
+            f"more than the budget of {MAX_PRODUCT_CANDIDATES}"
+        )
+
+
 def evaluate(node: IdealExpr) -> MonomialIdeal:
     if isinstance(node, MIdeal):
         return normalize([(1, 0), (0, 1)])
     if isinstance(node, Gens):
         return normalize(node.terms)
     if isinstance(node, Product):
-        return evaluate(node.left) * evaluate(node.right)
+        left, right = evaluate(node.left), evaluate(node.right)
+        _within_budget("product", _gen_bound(left) * _gen_bound(right))
+        return left * right
     if isinstance(node, Power):
-        return evaluate(node.base) ** node.exponent
+        # square-and-multiply forms I^i * I^j with i + j <= n; the pair count
+        # is largest at i, j = ceil(n/2), floor(n/2)
+        base, n = evaluate(node.base), node.exponent
+        if n > 1:
+            _within_budget("power", _gen_bound(base, (n + 1) // 2) * _gen_bound(base, n // 2))
+        return base**n
     if isinstance(node, Closure):
         return _closure(evaluate(node.inner))
     raise TypeError(f"not an ideal expression: {node!r}")

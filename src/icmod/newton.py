@@ -3,8 +3,14 @@ monomial ideals.
 
 Everything here is integer arithmetic on staircase corners: the lower-left
 hull is computed with a monotone chain over exact cross products, and the
-closure fills in, for each x-exponent, the least y-exponent satisfying every
-hull-edge half-plane inequality.
+closure walks the hull edge by edge.  On the edge (p0, q0) -> (p1, q1), with
+dp = p0 - p1 and dq = q1 - q0, the least y-exponent above column u is
+q0 + ceil(dq * (p0 - u) / dp).  A steep edge (dq >= dp) drops by at least one
+per column, so each column u in (p1, p0] is a corner; a shallow edge
+(dq < dp) drops by at most one, so each row v in [q0, q1) has one corner, at
+the least column reaching it, u = p0 - floor(dp * (v - q0) / dq).  The last
+vertex (0, q_t) closes the staircase.  The cost is O(edges + output corners),
+whatever a_0 and b_r are.
 """
 
 from __future__ import annotations
@@ -85,30 +91,19 @@ def newton_vertices(ideal: MonomialIdeal) -> NewtonPolygon:
     return NewtonPolygon(tuple(reversed(hull)))
 
 
-def _edges(np_: NewtonPolygon) -> list[tuple[int, int, int]]:
-    """Half-plane data (A, B, C) with A*u + B*v >= C on the polyhedron."""
-    out = []
-    for (p0, q0), (p1, q1) in zip(np_.vertices, np_.vertices[1:]):
-        a = q1 - q0
-        b = p0 - p1
-        out.append((a, b, a * p0 + b * q0))
-    return out
-
-
 def closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """Integral closure: the ideal of all lattice points inside the polygon."""
     if ideal.is_unit:
         return ideal
-    np_ = newton_vertices(ideal)
-    edges = _edges(np_)
+    vertices = newton_vertices(ideal).vertices
     gens = []
-    for u in range(ideal.a0 + 1):
-        v = 0
-        for a, b, c in edges:
-            need = c - a * u
-            if need > 0:
-                v = max(v, -((-need) // b))
-        gens.append((u, v))
+    for (p0, q0), (p1, q1) in zip(vertices, vertices[1:]):
+        dp, dq = p0 - p1, q1 - q0
+        if dq >= dp:
+            gens.extend((u, q0 - (-dq * (p0 - u) // dp)) for u in range(p0, p1, -1))
+        else:
+            gens.extend((p0 - dp * (v - q0) // dq, v) for v in range(q0, q1))
+    gens.append(vertices[-1])
     return normalize(gens)
 
 

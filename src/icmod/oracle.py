@@ -28,12 +28,12 @@ Poly = Sequence[Term]
 
 
 def truncation_margin() -> int:
-    """Degrees past a_0 + b_r at which `module_min_gens` truncates.
+    """Degrees past a_0 + b_r at which `module_min_gens` truncates: none.
 
-    They are slack: m^(a_0+b_r-1) lies in I = Fitt_0 and Fitt_0 R^2 in M, so
-    m^(a_0+b_r) R^2 lies in mM and degrees below a_0 + b_r hold all of M/mM.
+    m^(a_0+b_r-1) lies in I = Fitt_0 and Fitt_0 R^2 in M, so m^(a_0+b_r) R^2
+    lies in mM and degrees below a_0 + b_r hold all of M/mM.
     """
-    return 2
+    return 0
 
 
 class TruncationSpace:

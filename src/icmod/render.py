@@ -1,7 +1,8 @@
 """Deterministic SVG figures of a staircase with its Newton polygon.
 
 Fixed scale of 24 px per lattice unit with a one-unit margin; no timestamps
-and no randomness, so identical inputs give byte-identical files.
+and no randomness, so identical inputs give byte-identical files.  Every
+coordinate is an integer number of pixels and is written as one.
 """
 
 from __future__ import annotations
@@ -26,11 +27,8 @@ def render_svg(ideal: MonomialIdeal) -> str:
     width = (xmax + 2 * MARGIN) * SCALE
     height = (ymax + 2 * MARGIN) * SCALE
 
-    def pt(u: float, v: float) -> tuple[float, float]:
+    def pt(u: int, v: int) -> tuple[int, int]:
         return ((u + MARGIN) * SCALE, height - (v + MARGIN) * SCALE)
-
-    def fmt(x: float) -> str:
-        return f"{x:.1f}".rstrip("0").rstrip(".")
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -46,7 +44,7 @@ def render_svg(ideal: MonomialIdeal) -> str:
         path.append(pt(a_next, b_next))
     path.append(pt(0, ymax))
     path.append(pt(xmax, ymax))
-    d = "M " + " L ".join(f"{fmt(x)} {fmt(y)}" for x, y in path) + " Z"
+    d = "M " + " L ".join(f"{x} {y}" for x, y in path) + " Z"
     lines.append(f'<path d="{d}" fill="{_REGION_FILL}" stroke="none"/>')
 
     # axes with integer ticks
@@ -54,28 +52,28 @@ def render_svg(ideal: MonomialIdeal) -> str:
     ax_x, _ = pt(xmax, 0)
     _, ax_y = pt(0, ymax)
     lines.append(
-        f'<line x1="{fmt(ox)}" y1="{fmt(oy)}" x2="{fmt(ax_x)}" y2="{fmt(oy)}" '
+        f'<line x1="{ox}" y1="{oy}" x2="{ax_x}" y2="{oy}" '
         f'stroke="{_AXIS}" stroke-width="1"/>'
     )
     lines.append(
-        f'<line x1="{fmt(ox)}" y1="{fmt(oy)}" x2="{fmt(ox)}" y2="{fmt(ax_y)}" '
+        f'<line x1="{ox}" y1="{oy}" x2="{ox}" y2="{ax_y}" '
         f'stroke="{_AXIS}" stroke-width="1"/>'
     )
     for u in range(1, xmax + 1):
         x, y = pt(u, 0)
         lines.append(
-            f'<line x1="{fmt(x)}" y1="{fmt(y - 3)}" x2="{fmt(x)}" y2="{fmt(y + 3)}" '
+            f'<line x1="{x}" y1="{y - 3}" x2="{x}" y2="{y + 3}" '
             f'stroke="{_AXIS}" stroke-width="1"/>'
         )
     for v in range(1, ymax + 1):
         x, y = pt(0, v)
         lines.append(
-            f'<line x1="{fmt(x - 3)}" y1="{fmt(y)}" x2="{fmt(x + 3)}" y2="{fmt(y)}" '
+            f'<line x1="{x - 3}" y1="{y}" x2="{x + 3}" y2="{y}" '
             f'stroke="{_AXIS}" stroke-width="1"/>'
         )
 
     # Newton polygon edges
-    pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in (pt(u, v) for u, v in np_.vertices))
+    pts = " ".join(f"{x},{y}" for x, y in (pt(u, v) for u, v in np_.vertices))
     lines.append(
         f'<polyline points="{pts}" fill="none" stroke="{_EDGE_STROKE}" stroke-width="2"/>'
     )
@@ -83,10 +81,10 @@ def render_svg(ideal: MonomialIdeal) -> str:
     # generator points, then emphasized hull vertices on top
     for u, v in ideal.gens:
         x, y = pt(u, v)
-        lines.append(f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="3" fill="{_GEN_FILL}"/>')
+        lines.append(f'<circle cx="{x}" cy="{y}" r="3" fill="{_GEN_FILL}"/>')
     for u, v in np_.vertices:
         x, y = pt(u, v)
-        lines.append(f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="4.5" fill="{_VERTEX_FILL}"/>')
+        lines.append(f'<circle cx="{x}" cy="{y}" r="4.5" fill="{_VERTEX_FILL}"/>')
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -75,6 +76,8 @@ class TestModuleCommands:
         assert run(capsys, "poly-colength", "x^2 - y^3, x*y")[1].strip() == "5"
         code, _, err = run(capsys, "poly-colength", "x^3, y^3, x+y+")
         assert code == 1 and "(line 1, column 15)" in err
+        code, _, err = run(capsys, "poly-colength", "*x, y^3, x+y")
+        assert code == 1 and "(line 1, column 1)" in err
 
 
 class TestDecide:
@@ -186,6 +189,25 @@ class TestExitCodes:
     def test_parse_error_is_one(self, capsys):
         code, _, err = run(capsys, "order", "(x^2, y^^)")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv, position",
+        [
+            (("normalize", "(*x, y^2)"), "(line 1, column 2)"),
+            (("member", "*y", "(x,y)"), "(line 1, column 1)"),
+        ],
+    )
+    def test_leading_star_is_a_parse_error(self, capsys, argv, position):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and position in err
+
+    def test_oversize_input_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "closure", "(x^2,y^2)^99999999999")
+        assert code == 1 and "budget" in err
+        code, out, _ = run(capsys, "closure", "(x^30000000, y)")
+        assert code == 0 and out.strip() == "(x^30000000, y)"
+        assert time.perf_counter() - start < 1.0
 
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as info:

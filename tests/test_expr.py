@@ -1,8 +1,10 @@
 import pytest
 
 from icmod import (
+    DomainError,
     NotMPrimary,
     ParseError,
+    SizeBudgetExceeded,
     closure,
     format_ideal,
     format_monomial,
@@ -35,6 +37,8 @@ class TestMonomials:
             parse_monomial("x^")
         with pytest.raises(ParseError):
             parse_monomial("x,y")
+        with pytest.raises(ParseError):
+            parse_monomial("*y")
 
     def test_round_trip(self):
         for m in [(0, 0), (1, 0), (0, 1), (3, 2), (1, 7)]:
@@ -63,9 +67,10 @@ class TestIdealExpressions:
         assert parse_ideal(" ( x ^ 2 ,  y ) ") == parse_ideal("(x^2,y)")
 
     def test_parse_errors_carry_position(self):
-        with pytest.raises(ParseError) as info:
-            parse_ideal("(x^2, )")
-        assert info.value.line == 1 and info.value.col == 7
+        for src, col in (("(x^2, )", 7), ("(*x, y^2)", 2)):
+            with pytest.raises(ParseError) as info:
+                parse_ideal(src)
+            assert info.value.line == 1 and info.value.col == col
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
@@ -78,6 +83,29 @@ class TestIdealExpressions:
     def test_domain_errors_keep_their_type(self):
         with pytest.raises(NotMPrimary):
             parse_ideal("(x^2, x*y)")
+
+
+class TestSizeBudget:
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "(x^2,y^2)^99999999999",
+            "closure((x^1000,y^1000)) * closure((x^1000,y^1000))",
+            "(x^1000, y^1000)^2",
+        ],
+    )
+    def test_oversize_rejected_before_building(self, src):
+        with pytest.raises(SizeBudgetExceeded) as info:
+            parse_ideal(src)
+        assert isinstance(info.value, DomainError)
+
+    def test_wide_inputs_within_budget(self):
+        assert parse_ideal("(x^30000000, y)").gens == ((30000000, 0), (0, 1))
+        power = parse_ideal("(x^30000000, y)^4")
+        assert (power.a0, power.br, power.r) == (120000000, 4, 4)
+        # the bound counts min(a_0, b_r) + 1 corners per factor, so this is
+        # exactly at the budget, however few corners the factors have
+        assert parse_ideal("(x^999, y^999)^2").gens == ((1998, 0), (999, 999), (0, 1998))
 
 
 class TestPolynomials:
@@ -105,6 +133,8 @@ class TestPolynomials:
             ("+x", 1),
             ("2*", 2),
             ("x^3, (y^3)", 6),
+            ("*x, y^3, x+y", 1),
+            ("x^3, 2**y", 7),
         ],
     )
     def test_rejected_forms_carry_position(self, src, col):

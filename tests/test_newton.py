@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icmod import (
     Factorization,
@@ -7,6 +10,7 @@ from icmod import (
     NotMPrimary,
     SimpleFactor,
     closure,
+    closure_power_oracle,
     is_complete,
     is_simple,
     monomial_ideal,
@@ -51,6 +55,57 @@ class TestVertices:
         assert set(newton_vertices(ideal).vertices) <= set(ideal.gens)
 
 
+def closure_by_columns(ideal: MonomialIdeal) -> MonomialIdeal:
+    """Reference closure, one column at a time: for each u in 0..a_0 the least
+    v meeting every hull-edge half-plane.  O(a_0 * edges), so only for tests."""
+    if ideal.is_unit:
+        return ideal
+    verts = newton_vertices(ideal).vertices
+    edges = []
+    for (p0, q0), (p1, q1) in zip(verts, verts[1:]):
+        a, b = q1 - q0, p0 - p1
+        edges.append((a, b, a * p0 + b * q0))
+    gens = []
+    for u in range(ideal.a0 + 1):
+        v = 0
+        for a, b, c in edges:
+            need = c - a * u
+            if need > 0:
+                v = max(v, -((-need) // b))
+        gens.append((u, v))
+    return normalize(gens)
+
+
+@st.composite
+def boxed_staircases(draw, max_a: int, max_b: int) -> MonomialIdeal:
+    """(x^a_0, y^b_r) plus up to eight random points of the box."""
+    a0, br = draw(st.integers(1, max_a)), draw(st.integers(1, max_b))
+    inner = draw(st.lists(st.tuples(st.integers(0, a0), st.integers(1, br)), max_size=8))
+    return normalize([(a0, 0), (0, br), *inner])
+
+
+@st.composite
+def convex_staircases(draw) -> MonomialIdeal:
+    """Hull vertices built from up to six random edge vectors, shallowest
+    first, so steep, shallow and non-primitive edges mix on one polygon."""
+    steps = draw(st.lists(st.tuples(st.integers(1, 160), st.integers(1, 160)), min_size=1, max_size=6))
+    steps.sort(key=lambda s: Fraction(s[1], s[0]))
+    u, v = sum(dp for dp, _ in steps), 0
+    verts = [(u, v)]
+    for dp, dq in steps:
+        u, v = u - dp, v + dq
+        verts.append((u, v))
+    return normalize(verts)
+
+
+STAIRCASES = st.one_of(
+    boxed_staircases(30, 1000),  # steep edges
+    boxed_staircases(1000, 30),  # shallow edges
+    boxed_staircases(1000, 1000),
+    convex_staircases(),
+)
+
+
 class TestClosure:
     def test_fills_under_the_hull(self):
         assert closure(monomial_ideal((3, 0), (0, 2))).gens == (
@@ -80,6 +135,36 @@ class TestClosure:
             c = a * p0 + b * q0
             for u, v in cl.gens:
                 assert a * u + b * v >= c
+
+    @given(STAIRCASES)
+    @settings(max_examples=300)
+    def test_matches_column_reference(self, ideal):
+        for case in (ideal, ideal.transpose()):
+            assert closure(case) == closure_by_columns(case)
+        assert closure(ideal.transpose()) == closure(ideal).transpose()
+
+    @given(boxed_staircases(8, 8))
+    @settings(max_examples=60)
+    def test_matches_power_oracle(self, ideal):
+        cl = closure(ideal)
+        assert cl == closure_by_columns(ideal)
+        n_max = ideal.a0 + ideal.br
+        for u in range(ideal.a0 + 1):
+            for v in range(ideal.br + 1):
+                assert closure_power_oracle((u, v), ideal, n_max) == cl.member((u, v))
+
+    def test_cost_follows_the_output_not_a0(self):
+        # the column loop would visit 10^9 + 1 columns; the edges give 7 corners
+        ideal = normalize([(10**9, 0), (6, 1), (3, 3), (1, 6), (0, 11)])
+        assert closure(ideal).gens == (
+            (10**9, 0),
+            (6, 1),
+            (5, 2),
+            (3, 3),
+            (2, 5),
+            (1, 6),
+            (0, 11),
+        )
 
     def test_is_complete(self):
         assert not is_complete(monomial_ideal((3, 0), (0, 2)))

@@ -18,7 +18,7 @@ from icmod import (
     normalize,
     poly_ideal_colength,
 )
-from icmod.oracle import ideal_as_polys
+from icmod.oracle import ideal_as_polys, truncation_margin
 from tests.conftest import brute_ideals
 
 STAIR_B = monomial_ideal((7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9))
@@ -55,6 +55,14 @@ class TestModuleOracles:
                 pres = build_Mk(ideal, k)
                 assert graded_colength(pres) == module_colength(pres), (ideal, k)
                 assert graded_min_gens(pres) == module_min_gens(pres), (ideal, k)
+
+    def test_min_gens_truncates_at_a0_plus_br(self, full_enumeration):
+        # no margin past a_0 + b_r; checked at the largest degrees of (6,8)
+        assert truncation_margin() == 0
+        for ideal in sorted(full_enumeration, key=lambda i: i.a0 + i.br)[-5:]:
+            for k in range(1, ideal.br):
+                pres = build_Mk(ideal, k)
+                assert module_min_gens(pres) == graded_min_gens(pres), (ideal, k)
 
 
 class TestPolynomialColength:

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from icmod import NotMPrimary, monomial_ideal, normalize, render_svg
+from icmod import NotMPrimary, monomial_ideal, normalize, parse_ideal, render_svg
 
 STAIR_A = monomial_ideal((5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7))
 
@@ -30,3 +32,23 @@ def test_contains_polygon_and_region():
 def test_unit_ideal_rejected():
     with pytest.raises(NotMPrimary):
         render_svg(normalize([(0, 0)]))
+
+
+def test_golden_digest():
+    # SHA-256 of the figures of small, dense (66 corners) and wide (a_0 = 12000)
+    # staircases, in order: every byte of a figure is pinned
+    sources = (
+        "(x^5, x^4*y^2, x^3*y^3, x^2*y^4, x*y^6, y^7)",
+        "(x^7, x^5*y, x^3*y^2, x^2*y^3, x*y^5, y^9)",
+        "m",
+        "(x^3, y^2)",
+        "(x, y^4)",
+        "closure((x^17,y^23))*closure((x^31,y^12))*(x^7,x^3*y^4,y^6)^9",
+        "(x^12000, x^6*y, x^3*y^3, x*y^6, y^11)",
+    )
+    digest = hashlib.sha256()
+    for src in sources:
+        digest.update(render_svg(parse_ideal(src)).encode())
+    assert digest.hexdigest() == (
+        "9cab941e075f47ea39c73044b9ddcddc28aa4164318e6bdbff0a38f3de922831"
+    )
