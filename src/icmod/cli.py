@@ -253,6 +253,11 @@ def _selftest_cases():
         all(i == reconstruct(zariski_factor(i)) for i in (ex52, ex53)),
     )
     yield (
+        "product of the two worked staircases equals their normalized corner sums",
+        (ex52 * ex53).gens
+        == normalize([(a + c, b + d) for a, b in ex52.gens for c, d in ex53.gens]).gens,
+    )
+    yield (
         "colength identities r=3..6",
         all(
             normalize([(r, 0), (r - 1, r - 1), (0, r)]).colength() == r * r - 1

@@ -17,17 +17,18 @@ Polynomials with integer coefficients (`parse_polys`) start from::
 Whitespace is insignificant.  'm' is sugar for (x, y).
 
 `evaluate` refuses a product or power whose multiplication could form more
-than `MAX_PRODUCT_CANDIDATES` generator pairs, before forming any of them.
+than `staircase.MAX_PRODUCT_CANDIDATES` generator pairs, before forming any of
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError, SizeBudgetExceeded
+from .errors import DomainError, ParseError
 from .newton import closure as _closure
 from .oracle import Poly, Term
-from .staircase import Monomial, MonomialIdeal, normalize
+from .staircase import MAX_PRODUCT_CANDIDATES, Monomial, MonomialIdeal, normalize, within_budget
 
 
 # ---------------------------------------------------------------- AST
@@ -255,24 +256,10 @@ def parse_polys(src: str) -> list[Poly]:
     return parser.parse(lambda: parser.comma_list(parser.poly))
 
 
-# The most generator pairs one multiplication may form.  `staircase.product`
-# builds a candidate per pair, so this caps the work of one product or power
-# node: m^998 * m^998, just under it, takes 0.3 s and 150 MB (Python 3.11).
-MAX_PRODUCT_CANDIDATES = 1_000_000
-
-
 def _gen_bound(ideal: MonomialIdeal, n: int = 1) -> int:
     """At most this many minimal generators in I^n: a_0 and b_r scale by n,
     and a staircase has at most min(a_0, b_r) + 1 corners."""
     return n * min(ideal.a0, ideal.br) + 1
-
-
-def _within_budget(what: str, candidates: int) -> None:
-    if candidates > MAX_PRODUCT_CANDIDATES:
-        raise SizeBudgetExceeded(
-            f"{what} could form {candidates} generator pairs, "
-            f"more than the budget of {MAX_PRODUCT_CANDIDATES}"
-        )
 
 
 def evaluate(node: IdealExpr) -> MonomialIdeal:
@@ -282,14 +269,16 @@ def evaluate(node: IdealExpr) -> MonomialIdeal:
         return normalize(node.terms)
     if isinstance(node, Product):
         left, right = evaluate(node.left), evaluate(node.right)
-        _within_budget("product", _gen_bound(left) * _gen_bound(right))
+        pairs = _gen_bound(left) * _gen_bound(right)
+        within_budget("product", pairs, "generator pairs", MAX_PRODUCT_CANDIDATES)
         return left * right
     if isinstance(node, Power):
         # square-and-multiply forms I^i * I^j with i + j <= n; the pair count
         # is largest at i, j = ceil(n/2), floor(n/2)
         base, n = evaluate(node.base), node.exponent
         if n > 1:
-            _within_budget("power", _gen_bound(base, (n + 1) // 2) * _gen_bound(base, n // 2))
+            pairs = _gen_bound(base, (n + 1) // 2) * _gen_bound(base, n // 2)
+            within_budget("power", pairs, "generator pairs", MAX_PRODUCT_CANDIDATES)
         return base**n
     if isinstance(node, Closure):
         return _closure(evaluate(node.inner))

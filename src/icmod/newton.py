@@ -10,7 +10,9 @@ per column, so each column u in (p1, p0] is a corner; a shallow edge
 (dq < dp) drops by at most one, so each row v in [q0, q1) has one corner, at
 the least column reaching it, u = p0 - floor(dp * (v - q0) / dq).  The last
 vertex (0, q_t) closes the staircase.  The cost is O(edges + output corners),
-whatever a_0 and b_r are.
+whatever a_0 and b_r are.  The walk emits corners with strictly decreasing
+u and strictly increasing v, so its output is canonical as it stands.  It has
+at most min(a_0, b_r) + 1 corners, which must not exceed `MAX_OUTPUT_SIZE`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotComplete, NotMPrimary
-from .staircase import Monomial, MonomialIdeal, normalize
+from .staircase import MAX_OUTPUT_SIZE, Monomial, MonomialIdeal, normalize, within_budget
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,7 @@ def closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """Integral closure: the ideal of all lattice points inside the polygon."""
     if ideal.is_unit:
         return ideal
+    within_budget("closure", min(ideal.a0, ideal.br) + 1, "corners", MAX_OUTPUT_SIZE)
     vertices = newton_vertices(ideal).vertices
     gens = []
     for (p0, q0), (p1, q1) in zip(vertices, vertices[1:]):
@@ -104,7 +107,7 @@ def closure(ideal: MonomialIdeal) -> MonomialIdeal:
         else:
             gens.extend((p0 - dp * (v - q0) // dq, v) for v in range(q0, q1))
     gens.append(vertices[-1])
-    return normalize(gens)
+    return MonomialIdeal(tuple(gens))
 
 
 def is_complete(ideal: MonomialIdeal) -> bool:

@@ -2,13 +2,14 @@
 
 Fixed scale of 24 px per lattice unit with a one-unit margin; no timestamps
 and no randomness, so identical inputs give byte-identical files.  Every
-coordinate is an integer number of pixels and is written as one.
+coordinate is an integer number of pixels and is written as one.  A figure
+draws a_0 + b_r + 2 axis ticks, which must not exceed `MAX_OUTPUT_SIZE`.
 """
 
 from __future__ import annotations
 
 from .newton import newton_vertices
-from .staircase import MonomialIdeal
+from .staircase import MAX_OUTPUT_SIZE, MonomialIdeal, within_budget
 
 SCALE = 24
 MARGIN = 1  # lattice units on every side
@@ -20,10 +21,16 @@ _EDGE_STROKE = "#b02418"
 _AXIS = "#404040"
 
 
+def _ticks(head: str, middle: str, tail: str, coords: range) -> list[str]:
+    """One tick line per coordinate c: head + c + middle + c + tail."""
+    return [f"{head}{c}{middle}{c}{tail}" for c in coords]
+
+
 def render_svg(ideal: MonomialIdeal) -> str:
-    np_ = newton_vertices(ideal)
     xmax = ideal.a0 + 1
     ymax = ideal.br + 1
+    within_budget("figure", xmax + ymax, "axis ticks", MAX_OUTPUT_SIZE)
+    np_ = newton_vertices(ideal)
     width = (xmax + 2 * MARGIN) * SCALE
     height = (ymax + 2 * MARGIN) * SCALE
 
@@ -47,30 +54,29 @@ def render_svg(ideal: MonomialIdeal) -> str:
     d = "M " + " L ".join(f"{x} {y}" for x, y in path) + " Z"
     lines.append(f'<path d="{d}" fill="{_REGION_FILL}" stroke="none"/>')
 
-    # axes with integer ticks
+    # axes with a tick at every lattice unit, u = 1..xmax and v = 1..ymax
     ox, oy = pt(0, 0)
     ax_x, _ = pt(xmax, 0)
     _, ax_y = pt(0, ymax)
-    lines.append(
-        f'<line x1="{ox}" y1="{oy}" x2="{ax_x}" y2="{oy}" '
-        f'stroke="{_AXIS}" stroke-width="1"/>'
-    )
-    lines.append(
-        f'<line x1="{ox}" y1="{oy}" x2="{ox}" y2="{ax_y}" '
-        f'stroke="{_AXIS}" stroke-width="1"/>'
-    )
-    for u in range(1, xmax + 1):
-        x, y = pt(u, 0)
-        lines.append(
-            f'<line x1="{x}" y1="{y - 3}" x2="{x}" y2="{y + 3}" '
-            f'stroke="{_AXIS}" stroke-width="1"/>'
+    stroke = f'stroke="{_AXIS}" stroke-width="1"/>'
+    lines.append(f'<line x1="{ox}" y1="{oy}" x2="{ax_x}" y2="{oy}" {stroke}')
+    lines.append(f'<line x1="{ox}" y1="{oy}" x2="{ox}" y2="{ax_y}" {stroke}')
+    lines.extend(
+        _ticks(
+            '<line x1="',
+            f'" y1="{oy - 3}" x2="',
+            f'" y2="{oy + 3}" {stroke}',
+            range(ox + SCALE, ax_x + 1, SCALE),
         )
-    for v in range(1, ymax + 1):
-        x, y = pt(0, v)
-        lines.append(
-            f'<line x1="{x - 3}" y1="{y}" x2="{x + 3}" y2="{y}" '
-            f'stroke="{_AXIS}" stroke-width="1"/>'
+    )
+    lines.extend(
+        _ticks(
+            f'<line x1="{ox - 3}" y1="',
+            f'" x2="{ox + 3}" y2="',
+            f'" {stroke}',
+            range(oy - SCALE, ax_y - 1, -SCALE),
         )
+    )
 
     # Newton polygon edges
     pts = " ".join(f"{x},{y}" for x, y in (pt(u, v) for u, v in np_.vertices))
@@ -86,5 +92,5 @@ def render_svg(ideal: MonomialIdeal) -> str:
         x, y = pt(u, v)
         lines.append(f'<circle cx="{x}" cy="{y}" r="4.5" fill="{_VERTEX_FILL}"/>')
 
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines.append("</svg>\n")
+    return "\n".join(lines)

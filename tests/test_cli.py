@@ -178,6 +178,7 @@ class TestOtherCommands:
     def test_selftest(self, capsys):
         code, out, _ = run(capsys, "selftest")
         assert code == 0 and "all checks passed" in out
+        assert "[PASS] product of the two worked staircases" in out
 
 
 class TestExitCodes:
@@ -201,10 +202,15 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and position in err
 
-    def test_oversize_input_fails_fast(self, capsys):
+    def test_oversize_input_fails_fast(self, capsys, tmp_path):
         start = time.perf_counter()
         code, _, err = run(capsys, "closure", "(x^2,y^2)^99999999999")
         assert code == 1 and "budget" in err
+        code, _, err = run(capsys, "closure", "(x^100000000, y^100000000)")
+        assert code == 1 and "budget" in err
+        out_file = tmp_path / "f.svg"
+        code, _, err = run(capsys, "render", "(x^30000000, y)", "--out", str(out_file))
+        assert code == 1 and "budget" in err and not out_file.exists()
         code, out, _ = run(capsys, "closure", "(x^30000000, y)")
         assert code == 0 and out.strip() == "(x^30000000, y)"
         assert time.perf_counter() - start < 1.0

@@ -9,6 +9,7 @@ from icmod import (
     NotComplete,
     NotMPrimary,
     SimpleFactor,
+    SizeBudgetExceeded,
     closure,
     closure_power_oracle,
     is_complete,
@@ -140,7 +141,9 @@ class TestClosure:
     @settings(max_examples=300)
     def test_matches_column_reference(self, ideal):
         for case in (ideal, ideal.transpose()):
-            assert closure(case) == closure_by_columns(case)
+            cl = closure(case)
+            assert cl == closure_by_columns(case)
+            assert cl.gens == normalize(cl.gens).gens
         assert closure(ideal.transpose()) == closure(ideal).transpose()
 
     @given(boxed_staircases(8, 8))
@@ -165,6 +168,15 @@ class TestClosure:
             (1, 6),
             (0, 11),
         )
+
+    def test_output_budget(self):
+        # min(a_0, b_r) + 1 bounds the corners: exactly at the cap, then one past it
+        at_cap = normalize([(999_999, 0), (1, 1), (0, 999_999)])
+        assert closure(at_cap) == at_cap
+        with pytest.raises(SizeBudgetExceeded):
+            closure(normalize([(1_000_000, 0), (1, 1), (0, 1_000_000)]))
+        with pytest.raises(SizeBudgetExceeded):
+            is_complete(normalize([(10**8, 0), (0, 10**8)]))
 
     def test_is_complete(self):
         assert not is_complete(monomial_ideal((3, 0), (0, 2)))

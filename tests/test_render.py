@@ -2,7 +2,14 @@ import hashlib
 
 import pytest
 
-from icmod import NotMPrimary, monomial_ideal, normalize, parse_ideal, render_svg
+from icmod import (
+    NotMPrimary,
+    SizeBudgetExceeded,
+    monomial_ideal,
+    normalize,
+    parse_ideal,
+    render_svg,
+)
 
 STAIR_A = monomial_ideal((5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7))
 
@@ -32,6 +39,17 @@ def test_contains_polygon_and_region():
 def test_unit_ideal_rejected():
     with pytest.raises(NotMPrimary):
         render_svg(normalize([(0, 0)]))
+
+
+def test_tick_budget(monkeypatch):
+    # a_0 + b_r + 2 ticks; one past the cap fails before drawing anything
+    with pytest.raises(SizeBudgetExceeded):
+        render_svg(normalize([(999_998, 0), (0, 1)]))
+    # a figure at the real cap is 85 MB, so the cap is lowered to check the edge
+    monkeypatch.setattr("icmod.render.MAX_OUTPUT_SIZE", 40)
+    assert render_svg(normalize([(37, 0), (0, 1)])).count("<line") == 2 + 40  # axes, ticks
+    with pytest.raises(SizeBudgetExceeded):
+        render_svg(normalize([(38, 0), (0, 1)]))
 
 
 def test_golden_digest():

@@ -21,6 +21,31 @@ def random_ideals():
     )
 
 
+UNIT = MonomialIdeal(((0, 0),))
+
+
+@st.composite
+def boxed_ideals(draw, max_a: int, max_b: int, max_points: int) -> MonomialIdeal:
+    """(x^a_0, y^b_r) plus random points of the box."""
+    a0, br = draw(st.integers(1, max_a)), draw(st.integers(1, max_b))
+    inner = st.tuples(st.integers(0, a0), st.integers(0, br))
+    return normalize([(a0, 0), (0, br), *draw(st.lists(inner, max_size=max_points))])
+
+
+SHAPES = st.one_of(
+    random_ideals(),
+    st.just(UNIT),
+    boxed_ideals(60, 60, 40),  # dense: dozens of corners
+    boxed_ideals(10**6, 12, 6),  # wide
+    boxed_ideals(12, 10**6, 6),  # tall
+)
+
+
+def product_by_normalize(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
+    """Reference product: every one of the n*m corner sums, through `normalize`."""
+    return normalize([(a + c, b + d) for a, b in left.gens for c, d in right.gens])
+
+
 class TestNormalize:
     def test_redundant_generators_dropped(self):
         ideal = normalize([(3, 0), (2, 1), (3, 1), (2, 2), (0, 2)])
@@ -118,6 +143,17 @@ class TestArithmetic:
         for _ in range(n - 1):
             expected = expected * ideal
         assert ideal ** n == expected
+
+    @given(SHAPES, SHAPES)
+    @settings(max_examples=200)
+    def test_product_matches_normalized_sums(self, left, right):
+        assert (left * right).gens == product_by_normalize(left, right).gens
+        assert (left * left).gens == product_by_normalize(left, left).gens
+
+    @given(SHAPES)
+    def test_transpose_is_canonical(self, ideal):
+        flipped = ideal.transpose()
+        assert flipped.gens == normalize([(b, a) for a, b in ideal.gens]).gens
 
     def test_power_rejects_nonpositive(self):
         with pytest.raises(ValueError):
