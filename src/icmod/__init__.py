@@ -5,7 +5,8 @@ The core objects are staircase ideals (`MonomialIdeal`), their integral
 closures and Zariski factorizations (`newton`), the 2 x (r+2) presentation
 matrices M_k (`presentation`), a decision procedure with machine-checkable
 certificates (`engine`), and brute-force truncation oracles used to
-cross-check everything (`oracle`).
+cross-check everything (`oracle`).  `__all__` is the public surface; the
+README's Library section lists it by module.
 """
 
 __version__ = "0.1.0"
@@ -19,13 +20,11 @@ from .engine import (
     choose_k,
     classify,
     orient,
-    sufficient_indecomposable,
     valid_k_set,
     verify_certificate,
 )
 from .errors import (
     DomainError,
-    FittingMismatch,
     InternalInconsistency,
     KOutOfRange,
     NonMonomialMinor,
@@ -42,10 +41,8 @@ from .newton import (
     SimpleFactor,
     closure,
     is_complete,
-    is_simple,
     newton_vertices,
     reconstruct,
-    simple_divides,
     simple_ideal,
     zariski_factor,
 )
@@ -57,30 +54,24 @@ from .oracle import (
     poly_ideal_colength,
 )
 from .presentation import (
-    ContractionCase,
     Presentation2,
     build_Mk,
-    contracted_numeric,
     ell_value,
     fitting0,
     fitting1,
     graded_colength,
     graded_min_gens,
-    lemma33_holds,
-    remark34_case,
 )
 from .render import render_svg
-from .staircase import Monomial, MonomialIdeal, monomial_ideal, normalize
+from .staircase import Monomial, MonomialIdeal, normalize
 
 __all__ = [
     "__version__",
     "Branch",
     "Certificate",
     "Classification",
-    "ContractionCase",
     "DomainError",
     "Factorization",
-    "FittingMismatch",
     "InternalInconsistency",
     "KOutOfRange",
     "Monomial",
@@ -101,7 +92,6 @@ __all__ = [
     "classify",
     "closure",
     "closure_power_oracle",
-    "contracted_numeric",
     "ell_value",
     "enumerate_complete",
     "fitting0",
@@ -111,11 +101,8 @@ __all__ = [
     "graded_colength",
     "graded_min_gens",
     "is_complete",
-    "is_simple",
-    "lemma33_holds",
     "module_colength",
     "module_min_gens",
-    "monomial_ideal",
     "newton_vertices",
     "normalize",
     "orient",
@@ -124,11 +111,8 @@ __all__ = [
     "parse_polys",
     "poly_ideal_colength",
     "reconstruct",
-    "remark34_case",
     "render_svg",
-    "simple_divides",
     "simple_ideal",
-    "sufficient_indecomposable",
     "valid_k_set",
     "verify_certificate",
     "zariski_factor",

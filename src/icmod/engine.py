@@ -23,12 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import (
-    DomainError,
-    FittingMismatch,
-    InternalInconsistency,
-    KOutOfRange,
-)
+from .errors import DomainError, InternalInconsistency, KOutOfRange
 from .newton import (
     Factorization,
     SimpleFactor,
@@ -218,28 +213,6 @@ def _classify(ideal: MonomialIdeal, factorization: Factorization | None) -> Clas
 def _condition_fk(ideal: MonomialIdeal, k: int) -> bool:
     """Fitt_1(M_k) = (x, y^k) and x y^k not in I."""
     return ell_value(ideal, k) == k and not ideal.member((1, k))
-
-
-def sufficient_indecomposable(
-    ideal: MonomialIdeal, k: int
-) -> tuple[bool, str]:
-    """Direct sufficient test for indecomposability of M_k.
-
-    True when the ideal has no simple factor of order one, or when
-    x y^l is outside I and (x, y^l) is not a Zariski factor, where
-    l = min{b_{r-1}, k, b_r - k}.  False is inconclusive.
-    """
-    require_complete(ideal)
-    matrix = build_Mk(ideal, k)  # raises KOutOfRange
-    if fitting0(matrix) != ideal:
-        raise FittingMismatch(f"Fitt_0(M_{k}) != I for {ideal}")
-    factorization = hull_factorization(ideal)
-    if all(f.order > 1 for f, _ in factorization.factors):
-        return True, "no simple factor of order one"
-    ell = ell_value(ideal, k)
-    if not ideal.member((1, ell)) and factorization.multiplicity(_xy_factor(ell)) < 1:
-        return True, f"x*y^{ell} not in I and (x, y^{ell}) is not a factor"
-    return False, "inconclusive"
 
 
 def _default_k(cls: Classification, r: int) -> int | None:

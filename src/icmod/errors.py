@@ -21,10 +21,6 @@ class NonMonomialMinor(DomainError):
     """A 2x2 minor is a genuine binomial; the matrix is outside the supported family."""
 
 
-class FittingMismatch(DomainError):
-    """The zeroth Fitting ideal of M_k does not reproduce the input ideal."""
-
-
 class NotFiniteColength(DomainError):
     """A truncation computation detected an ideal or module of infinite colength."""
 

@@ -12,7 +12,8 @@ the least column reaching it, u = p0 - floor(dp * (v - q0) / dq).  The last
 vertex (0, q_t) closes the staircase.  The cost is O(edges + output corners),
 whatever a_0 and b_r are.  The walk emits corners with strictly decreasing
 u and strictly increasing v, so its output is canonical as it stands.  It has
-at most min(a_0, b_r) + 1 corners, which must not exceed `MAX_OUTPUT_SIZE`.
+exactly 1 + sum over edges of min(dp, dq) corners; that count is taken from the
+vertices before the walk, and must not exceed `MAX_OUTPUT_SIZE`.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ class Factorization:
     def as_dict(self) -> dict[SimpleFactor, int]:
         return dict(self.factors)
 
-    def total_order(self) -> int:
-        return sum(m * f.order for f, m in self.factors)
-
     def multiplicity(self, f: SimpleFactor) -> int:
         return self.as_dict().get(f, 0)
 
@@ -97,10 +95,12 @@ def closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """Integral closure: the ideal of all lattice points inside the polygon."""
     if ideal.is_unit:
         return ideal
-    within_budget("closure", min(ideal.a0, ideal.br) + 1, "corners", MAX_OUTPUT_SIZE)
     vertices = newton_vertices(ideal).vertices
+    edges = list(zip(vertices, vertices[1:]))
+    corners = 1 + sum(min(p0 - p1, q1 - q0) for (p0, q0), (p1, q1) in edges)
+    within_budget("closure", corners, "corners", MAX_OUTPUT_SIZE)
     gens = []
-    for (p0, q0), (p1, q1) in zip(vertices, vertices[1:]):
+    for (p0, q0), (p1, q1) in edges:
         dp, dq = p0 - p1, q1 - q0
         if dq >= dp:
             gens.extend((u, q0 - (-dq * (p0 - u) // dp)) for u in range(p0, p1, -1))
@@ -155,16 +155,3 @@ def reconstruct(factorization: Factorization) -> MonomialIdeal:
         piece = simple_ideal(f).power(mult)
         result = piece if result is None else result.product(piece)
     return result  # type: ignore[return-value]
-
-
-def simple_divides(f: SimpleFactor, ideal: MonomialIdeal) -> bool:
-    """Whether the simple ideal of f appears in the Zariski decomposition.
-
-    Sound for complete ideals because the decomposition is unique.
-    """
-    return zariski_factor(ideal).multiplicity(f) >= 1
-
-
-def is_simple(ideal: MonomialIdeal) -> bool:
-    factors = zariski_factor(ideal).factors
-    return len(factors) == 1 and factors[0][1] == 1

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import InternalInconsistency, NotFiniteColength
 from .newton import Factorization, SimpleFactor, reconstruct
 from .presentation import Presentation2, finite_fitting0
-from .staircase import Monomial, MonomialIdeal
+from .staircase import MAX_OUTPUT_SIZE, Monomial, MonomialIdeal, within_budget
 
 # polynomial term: (coefficient, x-exponent, y-exponent)
 Term = tuple[int, int, int]
@@ -216,13 +216,17 @@ def closure_power_oracle(m: Monomial, ideal: MonomialIdeal, n_max: int) -> bool:
 
 
 def _primitive_pairs(bound_a: int, bound_b: int) -> list[SimpleFactor]:
-    pairs = [
-        SimpleFactor(p, q)
-        for p in range(1, bound_a + 1)
-        for q in range(1, bound_b + 1)
-        if math.gcd(p, q) == 1
-    ]
-    return sorted(pairs, key=lambda f: (f.p, f.q))
+    """The primitive pairs in the bounds, by (p, q).  Each is an enumerated ideal
+    of min(p, q) + 1 generators, so their sum already counts against the budget."""
+    pairs = []
+    size = 0
+    for p in range(1, bound_a + 1):
+        for q in range(1, bound_b + 1):
+            if math.gcd(p, q) == 1:
+                pairs.append(SimpleFactor(p, q))
+                size += min(p, q) + 1
+                within_budget("enumeration", size, "generators", MAX_OUTPUT_SIZE)
+    return pairs
 
 
 def enumerate_complete(bound_a: int, bound_b: int) -> Iterator[MonomialIdeal]:
@@ -230,16 +234,22 @@ def enumerate_complete(bound_a: int, bound_b: int) -> Iterator[MonomialIdeal]:
 
     A complete ideal is a product of simple closures, and the exponents of a
     product add, so the enumeration walks multisets of primitive pairs whose
-    componentwise sums stay within the bounds.
+    componentwise sums stay within the bounds.  The ideals found are all kept,
+    so the walk stops once they hold more than `MAX_OUTPUT_SIZE` generators.
     """
     if bound_a < 1 or bound_b < 1:
         raise ValueError("bounds must be >= 1")
     pairs = _primitive_pairs(bound_a, bound_b)
     found: list[MonomialIdeal] = []
+    size = 0
 
     def walk(start: int, counts: dict[SimpleFactor, int], sum_p: int, sum_q: int):
+        nonlocal size
         if counts:
-            found.append(reconstruct(Factorization.from_counts(dict(counts))))
+            ideal = reconstruct(Factorization.from_counts(dict(counts)))
+            size += len(ideal.gens)
+            within_budget("enumeration", size, "generators", MAX_OUTPUT_SIZE)
+            found.append(ideal)
         for i in range(start, len(pairs)):
             f = pairs[i]
             if sum_p + f.p > bound_a or sum_q + f.q > bound_b:

@@ -9,7 +9,6 @@ rule below enforces.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .errors import KOutOfRange, NonMonomialMinor, NotFiniteColength, NotMPrimary
@@ -102,32 +101,6 @@ def ell_value(ideal: MonomialIdeal, k: int) -> int:
     return min(ideal.bvec[-2], k, br - k)
 
 
-def lemma33_holds(ideal: MonomialIdeal, k: int) -> bool:
-    """b_i + b_r - k >= b_{i+1} for all i; guarantees Fitt_0(M_k) = I."""
-    b = ideal.bvec
-    br = _checked_br(ideal, k)
-    return all(b[i] + br - k >= b[i + 1] for i in range(len(b) - 1))
-
-
-class ContractionCase(enum.Enum):
-    CASE1 = "Case1"
-    CASE2 = "Case2"
-    NEITHER = "Neither"
-
-
-def remark34_case(ideal: MonomialIdeal, k: int) -> ContractionCase:
-    """Which of the two easy sufficient conditions for Fitt_0(M_k) = I applies."""
-    b = ideal.bvec
-    r = ideal.r
-    br = _checked_br(ideal, k)
-    if k <= r - 1:
-        return ContractionCase.CASE1
-    gap = br - b[-2]
-    if r <= k <= b[-2] and all(b[i + 1] - b[i] <= gap for i in range(len(b) - 1)):
-        return ContractionCase.CASE2
-    return ContractionCase.NEITHER
-
-
 def _graded_columns(
     pres: Presentation2,
 ) -> tuple[MonomialIdeal, Monomial, list[tuple[Monomial, int]]]:
@@ -201,8 +174,3 @@ def graded_min_gens(pres: Presentation2) -> int:
         _graded_rank(cols, deg) - _graded_rank(cols, deg, below=True)
         for deg in {deg for deg, _ in cols}
     )
-
-
-def contracted_numeric(pres: Presentation2) -> bool:
-    """Numeric contractedness test: mu(M) = ord(Fitt_0) + rank."""
-    return graded_min_gens(pres) == fitting0(pres).order() + 2

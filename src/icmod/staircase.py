@@ -19,9 +19,10 @@ Monomial = tuple[int, int]
 # one corner sum per generator pair and keeps the least b per distinct a: at
 # the budget, m^998 * m^998 (1,997 distinct sums) takes 0.04 s and adds under
 # 1 MB, and two staircases whose million sums are all distinct take 0.11 s
-# and 110 MB (Python 3.11).  A closure emits at most min(a_0, b_r) + 1 corners
-# (m^999999, at the cap, takes 0.7 s and 260 MB) and a figure draws
-# a_0 + b_r + 2 axis ticks (at the cap, an 85 MB figure in 0.2 s and 240 MB).
+# and 110 MB (Python 3.11).  A closure emits 1 + sum of min(dp, dq) over its
+# hull edges corners (m^999999, at the cap, takes 0.7 s and 260 MB), a figure
+# draws a_0 + b_r + 2 axis ticks (at the cap, an 85 MB figure in 0.2 s and
+# 240 MB), and an enumeration keeps every generator of the ideals it builds.
 MAX_PRODUCT_CANDIDATES = 1_000_000
 MAX_OUTPUT_SIZE = 1_000_000
 
@@ -165,8 +166,3 @@ def normalize(raw: Iterable[Monomial]) -> MonomialIdeal:
     if gens[-1][0] != 0:
         raise NotMPrimary("no pure y-power among the generators")
     return MonomialIdeal(gens)
-
-
-def monomial_ideal(*gens: Monomial) -> MonomialIdeal:
-    """Convenience constructor: monomial_ideal((2, 0), (1, 1), (0, 2))."""
-    return normalize(gens)

@@ -21,7 +21,6 @@ from icmod import (
     is_complete,
     module_colength,
     module_min_gens,
-    monomial_ideal,
     newton_vertices,
     normalize,
     parse_ideal,
@@ -33,8 +32,8 @@ from icmod.cli import main
 from icmod.errors import InternalInconsistency
 from icmod.oracle import ideal_as_polys
 
-STAIR_A = monomial_ideal((5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7))
-STAIR_B = monomial_ideal((7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9))
+STAIR_A = normalize([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7)])
+STAIR_B = normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
 
 
 def report(n, text):
@@ -175,11 +174,11 @@ def test_criterion_08_oracle_agreement(capsys, full_enumeration):
 
 
 def test_criterion_09_length_bound_example(capsys):
-    ideal = monomial_ideal((5, 0), (4, 1), (2, 2), (1, 3), (0, 5))
+    ideal = normalize([(5, 0), (4, 1), (2, 2), (1, 3), (0, 5)])
     length = module_colength(build_Mk(ideal, 2))
     assert length >= 10 and length != 10
     assert length == 11  # frozen oracle value
-    product = monomial_ideal((4, 0), (3, 1), (0, 2)) * monomial_ideal((1, 0), (0, 3))
+    product = normalize([(4, 0), (3, 1), (0, 2)]) * normalize([(1, 0), (0, 3)])
     assert product != ideal
     with capsys.disabled():
         report(9, f"module length {length} breaks the 2+8 split; product differs")

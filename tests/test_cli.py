@@ -213,7 +213,19 @@ class TestExitCodes:
         assert code == 1 and "budget" in err and not out_file.exists()
         code, out, _ = run(capsys, "closure", "(x^30000000, y)")
         assert code == 0 and out.strip() == "(x^30000000, y)"
+        code, out, _ = run(capsys, "closure", "(x^1000000, x*y, y^1000000)")
+        assert code == 0 and out.strip() == "(x^1000000, x*y, y^1000000)"
         assert time.perf_counter() - start < 1.0
+
+    def test_enumerate_size_budget(self, capsys, monkeypatch):
+        # (4, 5) holds 163 generators; one under that, the walk stops with exit 1
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 162)
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "enumerate", "--amax", "4", "--bmax", "5", *extra)
+            assert code == 1 and out == "" and "budget" in err
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 163)
+        code, out, _ = run(capsys, "enumerate", "--amax", "4", "--bmax", "5")
+        assert code == 0 and len(out.splitlines()) == 48
 
     def test_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as info:

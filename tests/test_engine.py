@@ -11,20 +11,18 @@ from icmod import (
     choose_k,
     classify,
     closure,
-    monomial_ideal,
     normalize,
     build_Mk,
     orient,
     parse_ideal,
-    sufficient_indecomposable,
     valid_k_set,
     verify_certificate,
     zariski_factor,
 )
 
-M = monomial_ideal((1, 0), (0, 1))
-STAIR_A = monomial_ideal((5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7))
-STAIR_B = monomial_ideal((7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9))
+M = normalize([(1, 0), (0, 1)])
+STAIR_A = normalize([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7)])
+STAIR_B = normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
 
 
 def xy_ideal(p, q):
@@ -33,7 +31,7 @@ def xy_ideal(p, q):
 
 class TestOrient:
     def test_flips_wide_staircases(self):
-        ideal = monomial_ideal((7, 0), (1, 1), (0, 2))
+        ideal = normalize([(7, 0), (1, 1), (0, 2)])
         oriented, transposed = orient(ideal)
         assert transposed and oriented == ideal.transpose()
 
@@ -98,7 +96,7 @@ class TestClassify:
 
     def test_requires_complete(self):
         with pytest.raises(NotComplete):
-            classify(monomial_ideal((3, 0), (0, 2)))
+            classify(normalize([(3, 0), (0, 2)]))
 
 
 class TestChooseK:
@@ -162,7 +160,7 @@ class TestChooseK:
             assert checked == [ideal]
 
     def test_close_first(self):
-        raw = monomial_ideal((3, 0), (0, 2))
+        raw = normalize([(3, 0), (0, 2)])
         with pytest.raises(NotComplete):
             choose_k(raw)
         cert = choose_k(raw, close_first=True)
@@ -207,21 +205,27 @@ class TestValidKSet:
 
 
 class TestSufficientTest:
+    """The direct clauses of the splitting obstruction, as the certificate records them."""
+
     def test_no_order_one_factor(self):
-        ok, reason = sufficient_indecomposable(STAIR_A, 2)
-        assert ok and "order one" in reason
+        cert = choose_k(STAIR_A, forced_k=2)
+        assert cert.checks[-1] == ("no_order_one_factor", True)
 
     def test_missing_factor_clause(self):
-        ok, _ = sufficient_indecomposable(STAIR_B, 3)
-        assert ok
+        cert = choose_k(STAIR_B, forced_k=3)
+        assert cert.checks[-2:] == (("xy^3_not_in_ideal", True), ("(x,y^3)_not_a_factor", True))
 
     def test_inconclusive(self):
-        ok, reason = sufficient_indecomposable(M ** 3, 1)
-        assert not ok and reason == "inconclusive"
+        # (x, y) divides m^3, so the direct clauses do not settle it: the length does
+        cert = choose_k(M ** 3, forced_k=1)
+        assert [name for name, _ in cert.checks[-2:]] == [
+            "xy^1_not_in_ideal",
+            "length_refutes_splitting",
+        ]
 
     def test_requires_complete(self):
         with pytest.raises(NotComplete):
-            sufficient_indecomposable(monomial_ideal((3, 0), (0, 2)), 1)
+            choose_k(normalize([(3, 0), (0, 2)]), forced_k=1)
 
 
 class TestCertificates:

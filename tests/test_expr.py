@@ -8,7 +8,6 @@ from icmod import (
     closure,
     format_ideal,
     format_monomial,
-    monomial_ideal,
     normalize,
     parse_ideal,
     parse_monomial,
@@ -47,20 +46,20 @@ class TestMonomials:
 
 class TestIdealExpressions:
     def test_generator_list(self):
-        assert parse_ideal("(x^2, x*y, y^3)") == monomial_ideal((2, 0), (1, 1), (0, 3))
+        assert parse_ideal("(x^2, x*y, y^3)") == normalize([(2, 0), (1, 1), (0, 3)])
 
     def test_m_shorthand(self):
-        assert parse_ideal("m") == monomial_ideal((1, 0), (0, 1))
-        assert parse_ideal("m^3") == monomial_ideal((1, 0), (0, 1)) ** 3
+        assert parse_ideal("m") == normalize([(1, 0), (0, 1)])
+        assert parse_ideal("m^3") == normalize([(1, 0), (0, 1)]) ** 3
 
     def test_products_and_powers(self):
         got = parse_ideal("(x,y)^2 * (x, y^2)")
-        want = (monomial_ideal((1, 0), (0, 1)) ** 2) * monomial_ideal((1, 0), (0, 2))
+        want = (normalize([(1, 0), (0, 1)]) ** 2) * normalize([(1, 0), (0, 2)])
         assert got == want
 
     def test_closure_operator(self):
         assert parse_ideal("closure((x^3, y^2))") == closure(
-            monomial_ideal((3, 0), (0, 2))
+            normalize([(3, 0), (0, 2)])
         )
 
     def test_whitespace_insensitive(self):
@@ -150,7 +149,7 @@ class TestPolynomials:
 
 class TestFormatting:
     def test_format_ideal(self):
-        ideal = monomial_ideal((2, 0), (1, 1), (0, 3))
+        ideal = normalize([(2, 0), (1, 1), (0, 3)])
         assert format_ideal(ideal) == "(x^2, x*y, y^3)"
 
     def test_round_trip_over_enumeration(self, small_complete):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,20 +14,17 @@ from icmod import (
     closure,
     closure_power_oracle,
     is_complete,
-    is_simple,
-    monomial_ideal,
     newton_vertices,
     normalize,
     reconstruct,
-    simple_divides,
     simple_ideal,
     zariski_factor,
 )
 from icmod.staircase import MonomialIdeal
 from tests.test_staircase import random_ideals
 
-STAIR_A = monomial_ideal((5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7))
-STAIR_B = monomial_ideal((7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9))
+STAIR_A = normalize([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7)])
+STAIR_B = normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
 
 
 class TestVertices:
@@ -44,7 +42,7 @@ class TestVertices:
 
     def test_collinear_point_removed(self):
         # (2, 1) sits on the segment from (4, 0) to (0, 2)
-        ideal = monomial_ideal((4, 0), (2, 1), (0, 2))
+        ideal = normalize([(4, 0), (2, 1), (0, 2)])
         assert newton_vertices(ideal).vertices == ((4, 0), (0, 2))
 
     def test_unit_rejected(self):
@@ -109,7 +107,7 @@ STAIRCASES = st.one_of(
 
 class TestClosure:
     def test_fills_under_the_hull(self):
-        assert closure(monomial_ideal((3, 0), (0, 2))).gens == (
+        assert closure(normalize([(3, 0), (0, 2)])).gens == (
             (3, 0),
             (2, 1),
             (0, 2),
@@ -144,6 +142,13 @@ class TestClosure:
             cl = closure(case)
             assert cl == closure_by_columns(case)
             assert cl.gens == normalize(cl.gens).gens
+            # the budget counts exactly the corners the walk emits
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("icmod.newton.MAX_OUTPUT_SIZE", len(cl.gens))
+                assert closure(case) == cl
+                mp.setattr("icmod.newton.MAX_OUTPUT_SIZE", len(cl.gens) - 1)
+                with pytest.raises(SizeBudgetExceeded):
+                    closure(case)
         assert closure(ideal.transpose()) == closure(ideal).transpose()
 
     @given(boxed_staircases(8, 8))
@@ -169,17 +174,33 @@ class TestClosure:
             (0, 11),
         )
 
-    def test_output_budget(self):
-        # min(a_0, b_r) + 1 bounds the corners: exactly at the cap, then one past it
-        at_cap = normalize([(999_999, 0), (1, 1), (0, 999_999)])
-        assert closure(at_cap) == at_cap
-        with pytest.raises(SizeBudgetExceeded):
-            closure(normalize([(1_000_000, 0), (1, 1), (0, 1_000_000)]))
+    def test_output_budget(self, monkeypatch):
+        # the budget counts the corners the closure really has, 1 + the sum of
+        # min(dp, dq) over the hull edges: these pure powers around xy close to 3
+        wide = normalize([(1_000_000, 0), (1, 1), (0, 1_000_000)])
+        assert closure(wide) == wide
+        # one past the cap, with 10^6 + 1 real corners, is refused before the
+        # walk, which would hold about 100 MB of corners
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetExceeded):
+                closure(normalize([(1_000_000, 0), (0, 1_000_000)]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
         with pytest.raises(SizeBudgetExceeded):
             is_complete(normalize([(10**8, 0), (0, 10**8)]))
+        # a closure at the real cap takes 0.7 s and 260 MB, so the cap is
+        # lowered to check the edge
+        monkeypatch.setattr("icmod.newton.MAX_OUTPUT_SIZE", 40)
+        assert len(closure(normalize([(39, 0), (0, 39)])).gens) == 40
+        with pytest.raises(SizeBudgetExceeded):
+            closure(normalize([(40, 0), (0, 40)]))
+        assert closure(normalize([(100, 0), (1, 1), (0, 100)])).r == 2
 
     def test_is_complete(self):
-        assert not is_complete(monomial_ideal((3, 0), (0, 2)))
+        assert not is_complete(normalize([(3, 0), (0, 2)]))
         assert is_complete(STAIR_A)
         assert is_complete(STAIR_B)
 
@@ -195,9 +216,11 @@ class TestSimpleFactors:
         assert SimpleFactor(3, 2).order == 2
 
     def test_simple_ideal_is_simple(self):
-        assert is_simple(simple_ideal(SimpleFactor(2, 3)))
-        assert is_simple(simple_ideal(SimpleFactor(1, 4)))
-        assert not is_simple(monomial_ideal((2, 0), (1, 1), (0, 2)))
+        for f in (SimpleFactor(2, 3), SimpleFactor(1, 4)):
+            assert zariski_factor(simple_ideal(f)).factors == ((f, 1),)
+        assert zariski_factor(normalize([(2, 0), (1, 1), (0, 2)])).factors == (
+            (SimpleFactor(1, 1), 2),
+        )
 
 
 class TestFactorization:
@@ -217,11 +240,12 @@ class TestFactorization:
 
     def test_rejects_non_complete(self):
         with pytest.raises(NotComplete):
-            zariski_factor(monomial_ideal((3, 0), (0, 2)))
+            zariski_factor(normalize([(3, 0), (0, 2)]))
 
     def test_total_order_matches(self, small_complete):
         for ideal in small_complete:
-            assert zariski_factor(ideal).total_order() == ideal.order()
+            factors = zariski_factor(ideal).factors
+            assert sum(m * f.order for f, m in factors) == ideal.order()
 
     def test_round_trip(self, small_complete):
         for ideal in small_complete:
@@ -234,10 +258,6 @@ class TestFactorization:
         assert removed.multiplicity(SimpleFactor(1, 1)) == 1
         with pytest.raises(ValueError):
             f.remove(SimpleFactor(5, 1))
-
-    def test_simple_divides(self):
-        assert simple_divides(SimpleFactor(2, 3), STAIR_A)
-        assert not simple_divides(SimpleFactor(1, 1), STAIR_A)
 
     def test_factor_of_product_is_union(self, small_complete):
         for left in small_complete[:12]:

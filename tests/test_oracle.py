@@ -5,6 +5,7 @@ import pytest
 from icmod import (
     NotFiniteColength,
     Presentation2,
+    SizeBudgetExceeded,
     build_Mk,
     closure,
     closure_power_oracle,
@@ -14,14 +15,13 @@ from icmod import (
     is_complete,
     module_colength,
     module_min_gens,
-    monomial_ideal,
     normalize,
     poly_ideal_colength,
 )
 from icmod.oracle import ideal_as_polys, truncation_margin
 from tests.conftest import brute_ideals
 
-STAIR_B = monomial_ideal((7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9))
+STAIR_B = normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
 
 
 def diagonal_presentation(left, right):
@@ -33,15 +33,15 @@ def diagonal_presentation(left, right):
 
 class TestModuleOracles:
     def test_split_module_colength_adds(self):
-        left = monomial_ideal((2, 0), (1, 1), (0, 3))
-        right = monomial_ideal((3, 0), (0, 2))
+        left = normalize([(2, 0), (1, 1), (0, 3)])
+        right = normalize([(3, 0), (0, 2)])
         pres = diagonal_presentation(left, right)
         assert module_colength(pres) == left.colength() + right.colength()
         assert graded_colength(pres) == left.colength() + right.colength()
 
     def test_split_module_min_gens_adds(self):
-        left = monomial_ideal((2, 0), (1, 1), (0, 3))
-        right = monomial_ideal((3, 0), (2, 1), (0, 2))
+        left = normalize([(2, 0), (1, 1), (0, 3)])
+        right = normalize([(3, 0), (2, 1), (0, 2)])
         pres = diagonal_presentation(left, right)
         assert module_min_gens(pres) == len(left.gens) + len(right.gens)
         assert graded_min_gens(pres) == len(left.gens) + len(right.gens)
@@ -124,3 +124,16 @@ class TestEnumeration:
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             list(enumerate_complete(0, 3))
+
+    def test_size_budget(self, monkeypatch):
+        # (4, 5) holds 48 ideals with 163 generators: exactly at the cap, then one past it
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 163)
+        assert sum(len(i.gens) for i in enumerate_complete(4, 5)) == 163
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 162)
+        with pytest.raises(SizeBudgetExceeded):
+            list(enumerate_complete(4, 5))
+        # each primitive pair is an ideal of the enumeration, so the pairs count
+        # before the walk starts: these bounds never form their 10^12 pairs
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 40)
+        with pytest.raises(SizeBudgetExceeded):
+            list(enumerate_complete(10**12, 1))

@@ -1,34 +1,29 @@
 import pytest
 
 from icmod import (
-    ContractionCase,
     KOutOfRange,
     NonMonomialMinor,
     NotFiniteColength,
     NotMPrimary,
     Presentation2,
     build_Mk,
-    contracted_numeric,
     ell_value,
     fitting0,
     fitting1,
     graded_colength,
     graded_min_gens,
-    lemma33_holds,
     module_colength,
     module_min_gens,
-    monomial_ideal,
     normalize,
-    remark34_case,
 )
 from icmod.staircase import MonomialIdeal
 
-STAIR_B = monomial_ideal((7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9))
+STAIR_B = normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
 
 
 class TestBuild:
     def test_column_layout(self):
-        ideal = monomial_ideal((2, 0), (1, 1), (0, 3))
+        ideal = normalize([(2, 0), (1, 1), (0, 3)])
         pres = build_Mk(ideal, 1)
         assert pres.cols == (
             ((1, 0), None),
@@ -42,7 +37,7 @@ class TestBuild:
             assert len(build_Mk(STAIR_B, k).cols) == STAIR_B.r + 2
 
     def test_k_range(self):
-        ideal = monomial_ideal((2, 0), (1, 1), (0, 3))
+        ideal = normalize([(2, 0), (1, 1), (0, 3)])
         for k in (0, 3, -1):
             with pytest.raises(KOutOfRange):
                 build_Mk(ideal, k)
@@ -53,7 +48,7 @@ class TestBuild:
 
     def test_principal_like_rejected(self):
         with pytest.raises(NotMPrimary):
-            build_Mk(monomial_ideal((0, 1)), 1)
+            build_Mk(normalize([(0, 1)]), 1)
 
     def test_empty_presentation_rejected(self):
         with pytest.raises(ValueError):
@@ -64,12 +59,12 @@ class TestBuild:
 
 class TestFittingIdeals:
     def test_minors_reproduce_ideal(self):
-        ideal = monomial_ideal((2, 0), (1, 1), (0, 3))
+        ideal = normalize([(2, 0), (1, 1), (0, 3)])
         assert fitting0(build_Mk(ideal, 1)) == ideal
 
     def test_entries_ideal(self):
-        ideal = monomial_ideal((2, 0), (1, 1), (0, 3))
-        assert fitting1(build_Mk(ideal, 1)) == monomial_ideal((1, 0), (0, 1))
+        ideal = normalize([(2, 0), (1, 1), (0, 3)])
+        assert fitting1(build_Mk(ideal, 1)) == normalize([(1, 0), (0, 1)])
 
     def test_ell_value_formula(self):
         # min of b_{r-1}, k and b_r - k
@@ -89,7 +84,7 @@ class TestFittingIdeals:
         # duplicate columns give the zero minor, not a binomial
         col = ((1, 0), (0, 1))
         pres = Presentation2((col, col, ((0, 2), None), (None, (2, 0))))
-        assert fitting0(pres) == monomial_ideal((3, 0), (2, 2), (0, 3))
+        assert fitting0(pres) == normalize([(3, 0), (2, 2), (0, 3)])
 
     def test_zero_fitting_rejected(self):
         pres = Presentation2((((1, 0), None), ((2, 0), None)))
@@ -103,35 +98,47 @@ class TestFittingIdeals:
         assert fitting1(permuted) == fitting1(pres)
 
 
+def lemma33(ideal, k):
+    """Lemma 3.3's inequality b_i + b_r - k >= b_{i+1} for every i."""
+    b = ideal.bvec
+    return all(b[i] + ideal.br - k >= b[i + 1] for i in range(len(b) - 1))
+
+
 class TestSufficientConditions:
+    """Lemma 3.3 and Remark 3.4: numeric conditions under which Fitt_0(M_k) = I."""
+
     def test_small_k_always_qualifies(self):
+        # Remark 3.4, case 1: k <= r - 1
         for k in range(1, STAIR_B.r):
-            assert lemma33_holds(STAIR_B, k)
-            assert remark34_case(STAIR_B, k) == ContractionCase.CASE1
+            assert lemma33(STAIR_B, k)
+            assert fitting0(build_Mk(STAIR_B, k)) == STAIR_B
 
     def test_gap_bound_case(self):
-        # top gap b_r - b_{r-1} = 2 dominates all consecutive gaps
-        ideal = monomial_ideal((2, 0), (1, 2), (0, 4))
-        assert remark34_case(ideal, 2) == ContractionCase.CASE2
-        assert lemma33_holds(ideal, 2)
-
-    def test_neither_case(self):
-        assert remark34_case(STAIR_B, 8) == ContractionCase.NEITHER
+        # Remark 3.4, case 2: r <= k <= b_{r-1}, and the top gap
+        # b_r - b_{r-1} = 2 dominates all consecutive gaps
+        ideal = normalize([(2, 0), (1, 2), (0, 4)])
+        assert lemma33(ideal, 2)
+        assert fitting0(build_Mk(ideal, 2)) == ideal
 
     def test_lemma_failure_detected(self):
-        # jump of 4 at the top step; k = 8 leaves slack of only 1
-        assert not lemma33_holds(STAIR_B, 8)
+        # jump of 4 at the top step; k = 8 leaves slack of only 1, and the
+        # minors lose y^9 and x*y^5 to y^6 and x*y^4
+        assert not lemma33(STAIR_B, 8)
+        assert fitting0(build_Mk(STAIR_B, 8)) == normalize(
+            [(7, 0), (5, 1), (3, 2), (2, 3), (1, 4), (0, 6)]
+        )
 
     def test_lemma_implies_fitting0(self, small_complete):
         for ideal in small_complete:
             for k in range(1, ideal.br):
-                if lemma33_holds(ideal, k):
+                if lemma33(ideal, k):
                     assert fitting0(build_Mk(ideal, k)) == ideal
 
     def test_contracted_numeric(self):
-        assert contracted_numeric(build_Mk(STAIR_B, 3))
-        ideal = monomial_ideal((2, 0), (1, 1), (0, 3))
-        assert contracted_numeric(build_Mk(ideal, 1))
+        # mu(M_k) = ord(Fitt_0) + rank
+        for ideal, k in ((STAIR_B, 3), (normalize([(2, 0), (1, 1), (0, 3)]), 1)):
+            pres = build_Mk(ideal, k)
+            assert graded_min_gens(pres) == fitting0(pres).order() + 2
 
 
 class TestGradedInvariants:

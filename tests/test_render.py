@@ -5,13 +5,12 @@ import pytest
 from icmod import (
     NotMPrimary,
     SizeBudgetExceeded,
-    monomial_ideal,
     normalize,
     parse_ideal,
     render_svg,
 )
 
-STAIR_A = monomial_ideal((5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7))
+STAIR_A = normalize([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7)])
 
 
 def test_deterministic():

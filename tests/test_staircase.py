@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icmod import MonomialIdeal, NotMPrimary, monomial_ideal, normalize
+from icmod import MonomialIdeal, NotMPrimary, normalize
 from tests.conftest import brute_colength
 
 
@@ -52,7 +52,7 @@ class TestNormalize:
         assert ideal.gens == ((3, 0), (2, 1), (0, 2))
 
     def test_worked_staircase(self):
-        ideal = monomial_ideal((5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7))
+        ideal = normalize([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7)])
         assert ideal.avec == (5, 4, 3, 2, 1, 0)
         assert ideal.bvec == (0, 2, 3, 4, 6, 7)
         assert ideal.r == 5
@@ -88,7 +88,7 @@ class TestNormalize:
 
 class TestMembership:
     def test_corner_and_interior(self):
-        ideal = monomial_ideal((2, 0), (1, 1), (0, 3))
+        ideal = normalize([(2, 0), (1, 1), (0, 3)])
         assert ideal.member((2, 0))
         assert ideal.member((5, 7))
         assert not ideal.member((1, 0))
@@ -105,12 +105,12 @@ class TestMembership:
 
 class TestInvariants:
     def test_order_is_min_total_degree(self):
-        ideal = monomial_ideal((5, 0), (1, 2), (0, 7))
+        ideal = normalize([(5, 0), (1, 2), (0, 7)])
         assert ideal.order() == 3
 
     def test_colength_small(self):
         # staircase of m^2: three points below
-        assert monomial_ideal((2, 0), (1, 1), (0, 2)).colength() == 3
+        assert normalize([(2, 0), (1, 1), (0, 2)]).colength() == 3
 
     @given(random_ideals())
     @settings(max_examples=60)
@@ -126,7 +126,7 @@ class TestInvariants:
 
 class TestArithmetic:
     def test_product_of_staircases(self):
-        m = monomial_ideal((1, 0), (0, 1))
+        m = normalize([(1, 0), (0, 1)])
         assert (m * m).gens == ((2, 0), (1, 1), (0, 2))
 
     @given(random_ideals(), random_ideals())
@@ -157,7 +157,7 @@ class TestArithmetic:
 
     def test_power_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            monomial_ideal((1, 0), (0, 1)).power(0)
+            normalize([(1, 0), (0, 1)]).power(0)
 
     @given(random_ideals(), random_ideals())
     @settings(max_examples=40)
@@ -176,9 +176,9 @@ class TestArithmetic:
 
 
 def test_str_uses_generator_notation():
-    assert str(monomial_ideal((2, 0), (1, 1), (0, 3))) == "(x^2, x*y, y^3)"
+    assert str(normalize([(2, 0), (1, 1), (0, 3)])) == "(x^2, x*y, y^3)"
 
 
 def test_unit_ideal_flag():
     assert MonomialIdeal(((0, 0),)).is_unit
-    assert not monomial_ideal((1, 0), (0, 1)).is_unit
+    assert not normalize([(1, 0), (0, 1)]).is_unit

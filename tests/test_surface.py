@@ -1,0 +1,43 @@
+"""The public surface is what the README documents: `icmod.__all__` and the CLI."""
+
+import argparse
+import importlib
+import re
+from pathlib import Path
+
+import icmod
+from icmod.cli import build_parser
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_public_names() -> dict[str, str]:
+    """name -> defining module, from the bullets under "### Public names"."""
+    section = README.split("### Public names", 1)[1]
+    section = re.split(r"^#{1,3} ", section, maxsplit=1, flags=re.M)[0]
+    names = {}
+    for bullet in re.findall(r"^- (.*?)(?=^- |\Z)", section, flags=re.M | re.S):
+        module, *listed = re.findall(r"`(\w+)`", bullet)
+        for name in listed:
+            assert name not in names, f"{name} is listed twice"
+            names[name] = module
+    return names
+
+
+def test_all_is_the_readme_list():
+    names = readme_public_names()
+    assert set(icmod.__all__) == set(names)
+    assert len(icmod.__all__) == len(set(icmod.__all__))
+    for name, module in names.items():
+        owner = importlib.import_module(module if module == "icmod" else f"icmod.{module}")
+        assert getattr(icmod, name) is getattr(owner, name), name
+
+
+def test_subcommands_are_the_readme_list():
+    listed = re.search(r"The subcommands are (.*?`)\.", README, flags=re.S).group(1)
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert sorted(re.findall(r"`([\w-]+)`", listed)) == sorted(subparsers.choices)
