@@ -30,7 +30,7 @@ class InternalInconsistency(DomainError):
 
 
 class SizeBudgetExceeded(DomainError):
-    """An ideal expression would multiply out more generator pairs than the budget."""
+    """Work would exceed a size budget of `staircase`; refused before it starts."""
 
 
 class ParseError(DomainError):

@@ -119,7 +119,10 @@ def _module_rows(
 
 
 def _rechecked(value: Callable[[int], int], n: int, what: str) -> int:
-    """value(n), after checking that the truncation at n + 1 agrees."""
+    """value(n), after checking that the truncation at n + 1 agrees.  That
+    truncation indexes the 2 * (n + 1)(n + 2) / 2 monomials of R^2 below it,
+    refused above `MAX_OUTPUT_SIZE` before any elimination."""
+    within_budget("truncation", (n + 1) * (n + 2), "index entries", MAX_OUTPUT_SIZE)
     got = value(n)
     if got != value(n + 1):
         raise InternalInconsistency(f"{what} unstable between truncations {n} and {n + 1}")

@@ -147,19 +147,22 @@ def graded_colength(pres: Presentation2) -> int:
     """Length of R^2 / M as a sum of exact graded ranks, no truncation.
 
     x^a_0 and y^b_r lie in Fitt_0, which annihilates R^2 / M, so the quotient
-    vanishes outside the box [0, a_0) x [0, b_r) and its translate by s.
+    vanishes outside the box [0, a_0) x [0, b_r) and its translate by s.  The
+    lines through 0, a_0, b_r, s, their sums and the column degrees cut the
+    plane into cells on which the box, the dimension of R^2 and the rank are
+    all constant, so each cell adds its area times dim - rank: O(r^3) work,
+    whatever a_0 and b_r.
     """
     ideal, s, cols = _graded_columns(pres)
-    box = {
-        (u + du, v + dv)
-        for du, dv in ((0, 0), s)
-        for u in range(ideal.a0)
-        for v in range(ideal.br)
-    }
+    boxes = ((0, 0), s)
+    us = sorted({d + c for d in (0, s[0]) for c in (0, ideal.a0)} | {a for (a, _), _ in cols})
+    vs = sorted({d + c for d in (0, s[1]) for c in (0, ideal.br)} | {b for (_, b), _ in cols})
     total = 0
-    for u, v in box:
-        dim = (u >= 0 and v >= 0) + (u >= s[0] and v >= s[1])
-        total += dim - _graded_rank(cols, (u, v))
+    for u, u_end in zip(us, us[1:]):
+        for v, v_end in zip(vs, vs[1:]):
+            if any(du <= u < du + ideal.a0 and dv <= v < dv + ideal.br for du, dv in boxes):
+                dim = (u >= 0 and v >= 0) + (u >= s[0] and v >= s[1])
+                total += (u_end - u) * (v_end - v) * (dim - _graded_rank(cols, (u, v)))
     return total
 
 

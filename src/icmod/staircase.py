@@ -15,14 +15,17 @@ from .errors import NotMPrimary, SizeBudgetExceeded
 
 Monomial = tuple[int, int]
 
-# Size budgets, checked before the work they bound starts.  A product walks
-# one corner sum per generator pair and keeps the least b per distinct a: at
-# the budget, m^998 * m^998 (1,997 distinct sums) takes 0.04 s and adds under
-# 1 MB, and two staircases whose million sums are all distinct take 0.11 s
-# and 110 MB (Python 3.11).  A closure emits 1 + sum of min(dp, dq) over its
-# hull edges corners (m^999999, at the cap, takes 0.7 s and 260 MB), a figure
-# draws a_0 + b_r + 2 axis ticks (at the cap, an 85 MB figure in 0.2 s and
-# 240 MB), and an enumeration keeps every generator of the ideals it builds.
+# Size budgets, checked before the work they bound starts; the costs at each
+# cap are from Python 3.11 on a 2 vCPU VM.  A product walks one corner sum per
+# generator pair, len(gens) * len(other.gens) of them, and keeps the least b
+# per distinct a: m^999 * m^999 (1,999 distinct sums) takes 0.05 s and adds
+# under 1 MB, and two staircases whose million sums are all distinct take
+# 0.12 s and 110 MB.  A closure emits 1 + sum of min(dp, dq) over its hull
+# edges corners (that of (x^999999, y^999999) takes 0.14 s and 140 MB), a
+# figure draws a_0 + b_r + 2 axis ticks (an 85 MB figure in 0.3 s and 230 MB),
+# the truncation oracles index (n + 1)(n + 2) monomials at their re-check
+# degree n + 1 (9.5 s and 530 MB), and an enumeration keeps every generator
+# of the ideals it builds.
 MAX_PRODUCT_CANDIDATES = 1_000_000
 MAX_OUTPUT_SIZE = 1_000_000
 
@@ -106,7 +109,10 @@ class MonomialIdeal:
     def product(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Staircase of the n*m corner sums, keeping the least b per a.  Both
         operands are canonical, so every sum is a valid exponent pair and the
-        two pure powers are among the sums: nothing is validated again."""
+        two pure powers are among the sums: nothing is validated again.
+        Refused before the walk when n*m exceeds `MAX_PRODUCT_CANDIDATES`."""
+        pairs = len(self.gens) * len(other.gens)
+        within_budget("product", pairs, "generator pairs", MAX_PRODUCT_CANDIDATES)
         best: dict[int, int] = {}
         get = best.get
         for a, b in self.gens:

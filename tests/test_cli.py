@@ -215,6 +215,10 @@ class TestExitCodes:
         assert code == 0 and out.strip() == "(x^30000000, y)"
         code, out, _ = run(capsys, "closure", "(x^1000000, x*y, y^1000000)")
         assert code == 0 and out.strip() == "(x^1000000, x*y, y^1000000)"
+        code, out, err = run(capsys, "product", "m^999", "m^1000")
+        assert code == 1 and out == "" and "budget" in err
+        code, out, err = run(capsys, "module-mu", "(x^2000,x*y,y^2)", "--k", "1")
+        assert code == 1 and out == "" and "budget" in err
         assert time.perf_counter() - start < 1.0
 
     def test_enumerate_size_budget(self, capsys, monkeypatch):

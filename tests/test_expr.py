@@ -83,6 +83,21 @@ class TestIdealExpressions:
         with pytest.raises(NotMPrimary):
             parse_ideal("(x^2, x*y)")
 
+    @pytest.mark.parametrize(
+        "src, prefix, error",
+        [
+            ("(x*y)x", "(x*y)", NotMPrimary),
+            ("(x*y) * (", "(x*y)", NotMPrimary),
+            ("closure((x*y)) )", "closure((x*y))", NotMPrimary),
+            ("(x^2,y^2)^99999999999 )", "(x^2,y^2)^99999999999", SizeBudgetExceeded),
+        ],
+    )
+    def test_syntax_errors_come_before_domain_errors(self, src, prefix, error):
+        with pytest.raises(ParseError):
+            parse_ideal(src)
+        with pytest.raises(error, match=r"\(while evaluating"):
+            parse_ideal(prefix)
+
 
 class TestSizeBudget:
     @pytest.mark.parametrize(
@@ -90,7 +105,7 @@ class TestSizeBudget:
         [
             "(x^2,y^2)^99999999999",
             "closure((x^1000,y^1000)) * closure((x^1000,y^1000))",
-            "(x^1000, y^1000)^2",
+            "m^999 * m^1000",
         ],
     )
     def test_oversize_rejected_before_building(self, src):
@@ -98,12 +113,32 @@ class TestSizeBudget:
             parse_ideal(src)
         assert isinstance(info.value, DomainError)
 
+    @pytest.mark.parametrize(
+        "src, pairs",
+        [
+            ("m^999 * m^1000", 1000 * 1001),
+            # the square-and-multiply step (x^2,y^2)^1023 * (x^2,y^2)^1024
+            ("(x^2,y^2)^99999999999", 1024 * 1025),
+        ],
+    )
+    def test_refusal_names_the_exact_pairs(self, src, pairs):
+        message = f"^product could form {pairs} generator pairs"
+        with pytest.raises(SizeBudgetExceeded, match=message):
+            parse_ideal(src)
+
+    @pytest.mark.parametrize("src", ["(x^1000, y^1000)^2", "m^999 * m^999"])
+    def test_accepted_by_the_exact_count(self, src):
+        # 2 x 2 generator pairs, however large a_0 and b_r; 1000 x 1000, at the budget
+        gens = {
+            "(x^1000, y^1000)^2": ((2000, 0), (1000, 1000), (0, 2000)),
+            "m^999 * m^999": tuple((1998 - i, i) for i in range(1999)),
+        }[src]
+        assert parse_ideal(src).gens == gens
+
     def test_wide_inputs_within_budget(self):
         assert parse_ideal("(x^30000000, y)").gens == ((30000000, 0), (0, 1))
         power = parse_ideal("(x^30000000, y)^4")
         assert (power.a0, power.br, power.r) == (120000000, 4, 4)
-        # the bound counts min(a_0, b_r) + 1 corners per factor, so this is
-        # exactly at the budget, however few corners the factors have
         assert parse_ideal("(x^999, y^999)^2").gens == ((1998, 0), (999, 999), (0, 1998))
 
 

@@ -56,6 +56,23 @@ class TestModuleOracles:
                 assert graded_colength(pres) == module_colength(pres), (ideal, k)
                 assert graded_min_gens(pres) == module_min_gens(pres), (ideal, k)
 
+    def test_truncation_budget(self, monkeypatch):
+        # one past the real cap: a_0 + b_r = 999, and the re-check at 1000
+        # indexes 1000 * 1001 monomials of R^2
+        wide = build_Mk(normalize([(997, 0), (1, 1), (0, 2)]), 1)
+        for oracle in (module_min_gens, module_colength):
+            with pytest.raises(SizeBudgetExceeded, match="1001000 index entries"):
+                oracle(wide)
+        # a_0 + b_r = 6, so the re-check at 7 indexes 7 * 8 monomials
+        pres = build_Mk(normalize([(4, 0), (1, 1), (0, 2)]), 1)
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 56)
+        assert module_min_gens(pres) == graded_min_gens(pres)
+        assert module_colength(pres) == graded_colength(pres)
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 55)
+        for oracle in (module_min_gens, module_colength):
+            with pytest.raises(SizeBudgetExceeded):
+                oracle(pres)
+
     def test_min_gens_truncates_at_a0_plus_br(self, full_enumeration):
         # no margin past a_0 + b_r; checked at the largest degrees of (6,8)
         assert truncation_margin() == 0

@@ -16,6 +16,7 @@ from icmod import (
     module_min_gens,
     normalize,
 )
+from icmod.presentation import _graded_columns, _graded_rank
 from icmod.staircase import MonomialIdeal
 
 STAIR_B = normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
@@ -141,7 +142,38 @@ class TestSufficientConditions:
             assert graded_min_gens(pres) == fitting0(pres).order() + 2
 
 
+def graded_colength_by_points(pres: Presentation2) -> int:
+    """Reference length of R^2 / M, one degree at a time over the box
+    [0, a_0) x [0, b_r) and its translate by s.  O(a_0 * b_r * r), so only
+    for tests."""
+    ideal, s, cols = _graded_columns(pres)
+    box = {
+        (u + du, v + dv)
+        for du, dv in ((0, 0), s)
+        for u in range(ideal.a0)
+        for v in range(ideal.br)
+    }
+    total = 0
+    for u, v in box:
+        dim = (u >= 0 and v >= 0) + (u >= s[0] and v >= s[1])
+        total += dim - _graded_rank(cols, (u, v))
+    return total
+
+
 class TestGradedInvariants:
+    def test_colength_by_cells_matches_points(self, full_enumeration):
+        for ideal in full_enumeration:
+            for k in range(1, ideal.br):
+                pres = build_Mk(ideal, k)
+                assert graded_colength(pres) == graded_colength_by_points(pres), (ideal, k)
+        wide = normalize([(102, 0), (2, 1), (1, 2), (0, 102)])
+        for k in (1, 2, 51, 100, 101):
+            pres = build_Mk(wide, k)
+            assert graded_colength(pres) == graded_colength_by_points(pres), k
+        col = ((1, 0), (0, 1))
+        cancelling = Presentation2((col, col, ((0, 2), None), (None, (2, 0))))
+        assert graded_colength(cancelling) == graded_colength_by_points(cancelling)
+
     def test_inconsistent_grading_is_a_binomial_minor(self):
         # shifts (1, -1) and (-1, 1): no Z^2-grading makes both columns homogeneous
         pres = Presentation2((((1, 0), (0, 1)), ((0, 1), (1, 0))))
