@@ -252,6 +252,12 @@ def _selftest_cases():
         "factorization round trip",
         all(i == reconstruct(zariski_factor(i)) for i in (ex52, ex53)),
     )
+    enumerated = list(enumerate_complete(4, 5))
+    yield (
+        "the (4,5) enumeration yields 48 ideals, each its factors' product",
+        len(enumerated) == 48
+        and all(i == reconstruct(zariski_factor(i)) for i in enumerated),
+    )
     yield (
         "product of the two worked staircases equals their normalized corner sums",
         (ex52 * ex53).gens

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InternalInconsistency, NotFiniteColength
-from .newton import Factorization, SimpleFactor, reconstruct
+from .newton import SimpleFactor, simple_ideal
 from .presentation import Presentation2, finite_fitting0
 from .staircase import MAX_OUTPUT_SIZE, Monomial, MonomialIdeal, within_budget
 
@@ -220,7 +220,8 @@ def closure_power_oracle(m: Monomial, ideal: MonomialIdeal, n_max: int) -> bool:
 
 def _primitive_pairs(bound_a: int, bound_b: int) -> list[SimpleFactor]:
     """The primitive pairs in the bounds, by (p, q).  Each is an enumerated ideal
-    of min(p, q) + 1 generators, so their sum already counts against the budget."""
+    of min(p, q) + 1 generators, so their sum already counts against the budget,
+    before `enumerate_complete` builds each pair's simple closure once."""
     pairs = []
     size = 0
     for p in range(1, bound_a + 1):
@@ -237,19 +238,23 @@ def enumerate_complete(bound_a: int, bound_b: int) -> Iterator[MonomialIdeal]:
 
     A complete ideal is a product of simple closures, and the exponents of a
     product add, so the enumeration walks multisets of primitive pairs whose
-    componentwise sums stay within the bounds.  The ideals found are all kept,
-    so the walk stops once they hold more than `MAX_OUTPUT_SIZE` generators.
+    componentwise sums stay within the bounds.  Each pair's simple closure is
+    built once, and the walk carries the ideal down from the unit ideal: a
+    child is its parent times one simple closure, so each ideal costs one
+    product.  The ideals
+    found are all kept, so the walk stops once they hold more than
+    `MAX_OUTPUT_SIZE` generators.
     """
     if bound_a < 1 or bound_b < 1:
         raise ValueError("bounds must be >= 1")
     pairs = _primitive_pairs(bound_a, bound_b)
+    simple = [simple_ideal(f) for f in pairs]
     found: list[MonomialIdeal] = []
     size = 0
 
-    def walk(start: int, counts: dict[SimpleFactor, int], sum_p: int, sum_q: int):
+    def walk(start: int, ideal: MonomialIdeal, sum_p: int, sum_q: int):
         nonlocal size
-        if counts:
-            ideal = reconstruct(Factorization.from_counts(dict(counts)))
+        if sum_p:
             size += len(ideal.gens)
             within_budget("enumeration", size, "generators", MAX_OUTPUT_SIZE)
             found.append(ideal)
@@ -257,13 +262,9 @@ def enumerate_complete(bound_a: int, bound_b: int) -> Iterator[MonomialIdeal]:
             f = pairs[i]
             if sum_p + f.p > bound_a or sum_q + f.q > bound_b:
                 continue
-            counts[f] = counts.get(f, 0) + 1
-            walk(i, counts, sum_p + f.p, sum_q + f.q)
-            counts[f] -= 1
-            if not counts[f]:
-                del counts[f]
+            walk(i, ideal.product(simple[i]), sum_p + f.p, sum_q + f.q)
 
-    walk(0, {}, 0, 0)
+    walk(0, MonomialIdeal(((0, 0),)), 0, 0)
     found.sort(key=lambda ideal: (ideal.a0, ideal.br, ideal.gens))
     seen = set()
     for ideal in found:

@@ -147,22 +147,33 @@ def graded_colength(pres: Presentation2) -> int:
     """Length of R^2 / M as a sum of exact graded ranks, no truncation.
 
     x^a_0 and y^b_r lie in Fitt_0, which annihilates R^2 / M, so the quotient
-    vanishes outside the box [0, a_0) x [0, b_r) and its translate by s.  The
-    lines through 0, a_0, b_r, s, their sums and the column degrees cut the
-    plane into cells on which the box, the dimension of R^2 and the rank are
-    all constant, so each cell adds its area times dim - rank: O(r^3) work,
-    whatever a_0 and b_r.
+    vanishes outside the box [0, a_0) x [0, b_r) and its translate by s.  A
+    sweep by ascending u over the strips between 0, a_0, their shifts by s_0
+    and the column degrees keeps each support kind's least b among the
+    columns with a <= u; the rank at row v is min(2, how many are <= v).
+    Those b and the rows 0, b_r and their shifts by s_1 cut each strip into
+    cells on which the box, dim R^2 and the rank are constant, and each cell
+    adds its area times dim - rank: O(r log r) work, whatever a_0 and b_r.
     """
     ideal, s, cols = _graded_columns(pres)
     boxes = ((0, 0), s)
     us = sorted({d + c for d in (0, s[0]) for c in (0, ideal.a0)} | {a for (a, _), _ in cols})
-    vs = sorted({d + c for d in (0, s[1]) for c in (0, ideal.br)} | {b for (_, b), _ in cols})
+    rows = {d + c for d in (0, s[1]) for c in (0, ideal.br)}
+    by_a = sorted(cols)
+    least_b: dict[int, int] = {}
+    nxt = 0
     total = 0
     for u, u_end in zip(us, us[1:]):
+        while nxt < len(by_a) and by_a[nxt][0][0] <= u:
+            (_, b), kind = by_a[nxt]
+            least_b[kind] = min(b, least_b.get(kind, b))
+            nxt += 1
+        vs = sorted(rows | set(least_b.values()))
         for v, v_end in zip(vs, vs[1:]):
             if any(du <= u < du + ideal.a0 and dv <= v < dv + ideal.br for du, dv in boxes):
                 dim = (u >= 0 and v >= 0) + (u >= s[0] and v >= s[1])
-                total += (u_end - u) * (v_end - v) * (dim - _graded_rank(cols, (u, v)))
+                rank = min(2, sum(b <= v for b in least_b.values()))
+                total += (u_end - u) * (v_end - v) * (dim - rank)
     return total
 
 

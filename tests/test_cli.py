@@ -179,6 +179,7 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "selftest")
         assert code == 0 and "all checks passed" in out
         assert "[PASS] product of the two worked staircases" in out
+        assert "[PASS] the (4,5) enumeration yields 48 ideals" in out
 
 
 class TestExitCodes:

@@ -1,8 +1,11 @@
+import math
 import random
 
 import pytest
 
 from icmod import (
+    Factorization,
+    MonomialIdeal,
     NotFiniteColength,
     Presentation2,
     SizeBudgetExceeded,
@@ -17,8 +20,10 @@ from icmod import (
     module_min_gens,
     normalize,
     poly_ideal_colength,
+    reconstruct,
+    simple_ideal,
 )
-from icmod.oracle import ideal_as_polys, truncation_margin
+from icmod.oracle import _primitive_pairs, ideal_as_polys, truncation_margin
 from tests.conftest import brute_ideals
 
 STAIR_B = normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
@@ -125,7 +130,59 @@ class TestClosureOracle:
             closure_power_oracle((1, 1), STAIR_B, 0)
 
 
+def enumerate_by_reconstruct(bound_a, bound_b):
+    """The walk over multisets of primitive pairs, building each ideal from
+    scratch as the product of its simple closures: a reference for the
+    incremental walk of `enumerate_complete`."""
+    pairs = _primitive_pairs(bound_a, bound_b)
+    found = []
+
+    def walk(start, counts, sum_p, sum_q):
+        if counts:
+            found.append(reconstruct(Factorization.from_counts(dict(counts))))
+        for i in range(start, len(pairs)):
+            f = pairs[i]
+            if sum_p + f.p > bound_a or sum_q + f.q > bound_b:
+                continue
+            counts[f] = counts.get(f, 0) + 1
+            walk(i, counts, sum_p + f.p, sum_q + f.q)
+            counts[f] -= 1
+            if not counts[f]:
+                del counts[f]
+
+    walk(0, {}, 0, 0)
+    found.sort(key=lambda ideal: (ideal.a0, ideal.br, ideal.gens))
+    return found
+
+
 class TestEnumeration:
+    def test_matches_reconstruct_walk(self):
+        got = [i.gens for i in enumerate_complete(8, 10)]
+        assert got == [i.gens for i in enumerate_by_reconstruct(8, 10)]
+        assert len(got) == 1795
+
+    def test_one_product_per_ideal(self, monkeypatch):
+        products = 0
+        product = MonomialIdeal.product
+
+        def counted_product(self, other):
+            nonlocal products
+            products += 1
+            return product(self, other)
+
+        simples = []
+
+        def counted_simple(f):
+            simples.append(f)
+            return simple_ideal(f)
+
+        monkeypatch.setattr(MonomialIdeal, "product", counted_product)
+        monkeypatch.setattr("icmod.oracle.simple_ideal", counted_simple)
+        ideals = list(enumerate_complete(8, 10))
+        assert products == len(ideals)
+        pairs = [(p, q) for p in range(1, 9) for q in range(1, 11) if math.gcd(p, q) == 1]
+        assert sorted((f.p, f.q) for f in simples) == pairs
+
     def test_matches_brute_force_filter(self):
         expected = sorted(
             (i.gens for i in brute_ideals(3, 3) if is_complete(i)),
