@@ -17,6 +17,7 @@ from .errors import DomainError, NotComplete
 from .expr import format_ideal, format_monomial, parse_ideal, parse_monomial, parse_polys
 from .newton import (
     Factorization,
+    NewtonPolygon,
     is_complete,
     newton_vertices,
     reconstruct,
@@ -31,7 +32,7 @@ from .oracle import (
 )
 from .presentation import Presentation2, build_Mk, fitting0, fitting1, graded_min_gens
 from .render import render_svg
-from .staircase import normalize
+from .staircase import MonomialIdeal, normalize
 
 
 def _emit(args, payload: dict[str, Any], human: str) -> None:
@@ -43,24 +44,8 @@ def _emit(args, payload: dict[str, Any], human: str) -> None:
 
 
 def _matrix_dict(matrix: Presentation2) -> dict[str, Any]:
-    return {
-        "cols": [
-            [
-                None if top is None else format_monomial(top),
-                None if bot is None else format_monomial(bot),
-            ]
-            for top, bot in matrix.cols
-        ]
-    }
-
-
-def _matrix_text(matrix: Presentation2) -> str:
-    def cell(e):
-        return "0" if e is None else format_monomial(e)
-
-    top = "  ".join(cell(t) for t, _ in matrix.cols)
-    bot = "  ".join(cell(b) for _, b in matrix.cols)
-    return f"[ {top} ]\n[ {bot} ]"
+    cols = [[None if e is None else format_monomial(e) for e in col] for col in matrix.cols]
+    return {"cols": cols}
 
 
 def _factorization_list(f: Factorization) -> list[dict[str, int]]:
@@ -118,94 +103,75 @@ def certificate_text(cert: Certificate) -> str:
     return "\n".join(lines)
 
 
+def _show(value) -> tuple[Any, str]:
+    """The JSON value and the human text of one result."""
+    if isinstance(value, MonomialIdeal):
+        text = format_ideal(value)
+        return text, text
+    if isinstance(value, bool):
+        return value, "true" if value else "false"
+    if isinstance(value, int):
+        return value, str(value)
+    if isinstance(value, Presentation2):
+        rows = (
+            "  ".join("0" if e is None else format_monomial(e) for e in row)
+            for row in zip(*value.cols)
+        )
+        return _matrix_dict(value), "\n".join(f"[ {row} ]" for row in rows)
+    if isinstance(value, Factorization):
+        return _factorization_list(value), format_factorization(value)
+    assert isinstance(value, NewtonPolygon)
+    return [list(v) for v in value.vertices], ", ".join(f"({p},{q})" for p, q in value.vertices)
+
+
+def _emit_value(args, key: str, value) -> None:
+    payload, human = _show(value)
+    _emit(args, {key: payload}, human)
+
+
 # ---------------------------------------------------------------- handlers
 
+# The subcommands that parse one ideal, call one function and print its one
+# value: name, JSON key, function, help text and whether it takes --k, in
+# which case the function gets M_k instead of the ideal.
+_ONE_VALUE = (
+    ("normalize", "gens", lambda ideal: ideal, "canonical minimal generators", False),
+    ("order", "order", MonomialIdeal.order, "order of the ideal", False),
+    ("mu", "mu", MonomialIdeal.num_min_gens, "number of minimal generators", False),
+    ("colength", "colength", MonomialIdeal.colength, "length of R modulo the ideal", False),
+    ("closure", "gens", ideal_closure, "integral closure", False),
+    ("complete", "complete", is_complete, "is the ideal integrally closed?", False),
+    ("vertices", "vertices", newton_vertices, "Newton polygon vertices", False),
+    ("factor", "factorization", zariski_factor, "Zariski factorization into simple closures", False),
+    ("construct", "matrix", lambda matrix: matrix, "presentation matrix of M_k", True),
+    ("fitting0", "gens", fitting0, "ideal of 2x2 minors of M_k", True),
+    ("fitting1", "gens", fitting1, "ideal of entries of M_k", True),
+    ("module-length", "length", module_colength, "length of R^2 / M_k (oracle)", True),
+    ("module-mu", "mu", module_min_gens, "minimal generators of M_k (oracle)", True),
+)
 
-def _cmd_normalize(args):
-    ideal = parse_ideal(args.expr)
-    _emit(args, {"gens": format_ideal(ideal)}, format_ideal(ideal))
 
+def _one_value(key: str, function, k: bool):
+    def handler(args):
+        value = parse_ideal(args.expr)
+        if k:
+            value = build_Mk(value, args.k)
+        _emit_value(args, key, function(value))
 
-def _cmd_order(args):
-    ideal = parse_ideal(args.expr)
-    _emit(args, {"order": ideal.order()}, str(ideal.order()))
-
-
-def _cmd_mu(args):
-    ideal = parse_ideal(args.expr)
-    _emit(args, {"mu": ideal.num_min_gens()}, str(ideal.num_min_gens()))
-
-
-def _cmd_colength(args):
-    ideal = parse_ideal(args.expr)
-    _emit(args, {"colength": ideal.colength()}, str(ideal.colength()))
+    return handler
 
 
 def _cmd_member(args):
     mono = parse_monomial(args.monomial)
-    ideal = parse_ideal(args.expr)
-    ok = ideal.member(mono)
-    _emit(args, {"member": ok}, "true" if ok else "false")
+    _emit_value(args, "member", parse_ideal(args.expr).member(mono))
 
 
 def _cmd_product(args):
-    result = parse_ideal(args.left) * parse_ideal(args.right)
-    _emit(args, {"gens": format_ideal(result)}, format_ideal(result))
-
-
-def _cmd_closure(args):
-    result = ideal_closure(parse_ideal(args.expr))
-    _emit(args, {"gens": format_ideal(result)}, format_ideal(result))
-
-
-def _cmd_complete(args):
-    ok = is_complete(parse_ideal(args.expr))
-    _emit(args, {"complete": ok}, "true" if ok else "false")
-
-
-def _cmd_vertices(args):
-    np_ = newton_vertices(parse_ideal(args.expr))
-    human = ", ".join(f"({p},{q})" for p, q in np_.vertices)
-    _emit(args, {"vertices": [list(v) for v in np_.vertices]}, human)
-
-
-def _cmd_factor(args):
-    f = zariski_factor(parse_ideal(args.expr))
-    _emit(args, {"factorization": _factorization_list(f)}, format_factorization(f))
-
-
-def _construct(args) -> Presentation2:
-    return build_Mk(parse_ideal(args.expr), args.k)
-
-
-def _cmd_construct(args):
-    matrix = _construct(args)
-    _emit(args, {"matrix": _matrix_dict(matrix)}, _matrix_text(matrix))
-
-
-def _cmd_fitting0(args):
-    result = fitting0(_construct(args))
-    _emit(args, {"gens": format_ideal(result)}, format_ideal(result))
-
-
-def _cmd_fitting1(args):
-    result = fitting1(_construct(args))
-    _emit(args, {"gens": format_ideal(result)}, format_ideal(result))
-
-
-def _cmd_module_length(args):
-    value = module_colength(_construct(args))
-    _emit(args, {"length": value}, str(value))
-
-
-def _cmd_module_mu(args):
-    value = module_min_gens(_construct(args))
-    _emit(args, {"mu": value}, str(value))
+    _emit_value(args, "gens", parse_ideal(args.left) * parse_ideal(args.right))
 
 
 def _cmd_poly_colength(args):
-    value = poly_ideal_colength(parse_polys(args.polys))
-    _emit(args, {"colength": value}, str(value))
+    _emit_value(args, "colength", poly_ideal_colength(parse_polys(args.polys)))
 
 
 def _cmd_decide(args):
@@ -224,12 +190,8 @@ def _cmd_decide(args):
 
 
 def _cmd_enumerate(args):
-    ideals = list(enumerate_complete(args.amax, args.bmax))
-    if args.json:
-        _emit(args, {"count": len(ideals), "ideals": [format_ideal(i) for i in ideals]}, "")
-    else:
-        for ideal in ideals:
-            sys.stdout.write(format_ideal(ideal) + "\n")
+    ideals = [format_ideal(i) for i in enumerate_complete(args.amax, args.bmax)]
+    _emit(args, {"count": len(ideals), "ideals": ideals}, "\n".join(ideals))
 
 
 def _cmd_render(args):
@@ -291,13 +253,14 @@ def _selftest_cases():
 
 
 def _cmd_selftest(args):
-    failures = 0
-    for name, ok in _selftest_cases():
-        sys.stdout.write(f"[{'PASS' if ok else 'FAIL'}] {name}\n")
-        failures += 0 if ok else 1
+    checks = list(_selftest_cases())
+    failures = sum(not ok for _, ok in checks)
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {name}" for name, ok in checks]
+    if not failures:
+        lines.append("selftest: all checks passed")
+    _emit(args, {"checks": [{"name": n, "pass": ok} for n, ok in checks]}, "\n".join(lines))
     if failures:
         raise DomainError(f"selftest: {failures} failure(s)")
-    sys.stdout.write("selftest: all checks passed\n")
 
 
 # ---------------------------------------------------------------- wiring
@@ -330,25 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    add("normalize", _cmd_normalize, "canonical minimal generators")
-    add("order", _cmd_order, "order of the ideal")
-    add("mu", _cmd_mu, "number of minimal generators")
-    add("colength", _cmd_colength, "length of R modulo the ideal")
-    p = add("member", _cmd_member, "monomial membership test", expr=False)
-    p.add_argument("monomial", help="monomial, e.g. x*y^3")
-    p.add_argument("expr", help="ideal expression")
-    p = add("product", _cmd_product, "product of two ideals", expr=False)
-    p.add_argument("left")
-    p.add_argument("right")
-    add("closure", _cmd_closure, "integral closure")
-    add("complete", _cmd_complete, "is the ideal integrally closed?")
-    add("vertices", _cmd_vertices, "Newton polygon vertices")
-    add("factor", _cmd_factor, "Zariski factorization into simple closures")
-    add("construct", _cmd_construct, "presentation matrix of M_k", k=True)
-    add("fitting0", _cmd_fitting0, "ideal of 2x2 minors of M_k", k=True)
-    add("fitting1", _cmd_fitting1, "ideal of entries of M_k", k=True)
-    add("module-length", _cmd_module_length, "length of R^2 / M_k (oracle)", k=True)
-    add("module-mu", _cmd_module_mu, "minimal generators of M_k (oracle)", k=True)
+    for name, key, function, help_, k in _ONE_VALUE:
+        add(name, _one_value(key, function, k), help_, k=k)
+        if name == "colength":  # --help lists member and product here
+            p = add("member", _cmd_member, "monomial membership test", expr=False)
+            p.add_argument("monomial", help="monomial, e.g. x*y^3")
+            p.add_argument("expr", help="ideal expression")
+            p = add("product", _cmd_product, "product of two ideals", expr=False)
+            p.add_argument("left")
+            p.add_argument("right")
     p = add("poly-colength", _cmd_poly_colength, "colength of a polynomial ideal", expr=False)
     p.add_argument("polys", help="comma separated polynomials, e.g. \"x^3, y^3, x+y\"")
     p = add("decide", _cmd_decide, "run the decision procedure")
@@ -360,9 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bmax", type=_positive_int, required=True)
     p = add("render", _cmd_render, "write an SVG figure")
     p.add_argument("--out", required=True, help="output SVG path")
-    p = sub.add_parser("selftest", help="run built-in consistency checks")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_selftest)
+    add("selftest", _cmd_selftest, "run built-in consistency checks", expr=False)
     return parser
 
 

@@ -116,16 +116,15 @@ def orient(ideal: MonomialIdeal) -> tuple[MonomialIdeal, bool]:
     return ideal, False
 
 
+# each exceptional factorization with its (alpha, beta): N2 and N3 have the
+# form (x,y)^{r-2}(x^alpha,y)(x,y^beta) of N1, N4 has none
 _N_PATTERNS = {
-    Branch.N2: Factorization.from_counts(
-        {SimpleFactor(1, 1): 3, SimpleFactor(1, 2): 1}
-    ),
-    Branch.N3: Factorization.from_counts(
-        {SimpleFactor(1, 1): 2, SimpleFactor(1, 2): 1, SimpleFactor(2, 1): 1}
-    ),
-    Branch.N4: Factorization.from_counts(
-        {SimpleFactor(1, 1): 1, SimpleFactor(1, 2): 1, SimpleFactor(3, 2): 1}
-    ),
+    branch: (Factorization.from_counts({SimpleFactor(*f): m for f, m in counts}), alpha, beta)
+    for branch, counts, alpha, beta in (
+        (Branch.N2, (((1, 1), 3), ((1, 2), 1)), 1, 2),
+        (Branch.N3, (((1, 1), 2), ((1, 2), 1), ((2, 1), 1)), 2, 2),
+        (Branch.N4, (((1, 1), 1), ((1, 2), 1), ((3, 2), 1)), None, None),
+    )
 }
 
 
@@ -189,9 +188,9 @@ def _classify(ideal: MonomialIdeal, factorization: Factorization | None) -> Clas
         match = _match_n1(factorization)
         if match is not None:
             return Classification(Branch.N1, k0=k0, alpha=match[0], beta=match[1])
-        for branch, pattern in _N_PATTERNS.items():
+        for branch, (pattern, alpha, beta) in _N_PATTERNS.items():
             if factorization == pattern:
-                return Classification(branch, k0=k0)
+                return Classification(branch, k0=k0, alpha=alpha, beta=beta)
         raise InternalInconsistency(
             f"Case I extra condition fails but no exceptional pattern matches: {ideal}"
         )
@@ -292,13 +291,12 @@ def _pattern_check(
     """Branch-specific shape of the factorization, re-derived from scratch."""
     m = normalize([(1, 0), (0, 1)])
     if cls.branch in (Branch.N1, Branch.N2, Branch.N3):
-        alpha, beta = _exceptional_pattern_parameters(cls, ideal, r)
         expected = (
             m.power(r - 2)
-            * normalize([(alpha, 0), (0, 1)])
-            * normalize([(1, 0), (0, beta)])
+            * normalize([(cls.alpha, 0), (0, 1)])
+            * normalize([(1, 0), (0, cls.beta)])
         )
-        return (f"matches_(x,y)^{r - 2}(x^{alpha},y)(x,y^{beta})", expected == ideal)
+        return (f"matches_(x,y)^{r - 2}(x^{cls.alpha},y)(x,y^{cls.beta})", expected == ideal)
     if cls.branch == Branch.N4:
         expected = m * normalize([(1, 0), (0, 2)]) * closure(normalize([(3, 0), (0, 2)]))
         return ("matches_(x,y)(x,y^2)cl(x^3,y^2)", expected == ideal)
@@ -314,20 +312,6 @@ def _pattern_check(
             name = f"matches_(x,y)..(x,y^{r - 1})(x,y^{cls.beta})"
         return (name, expected * tail == ideal)
     return None
-
-
-def _exceptional_pattern_parameters(
-    cls: Classification, ideal: MonomialIdeal, r: int
-) -> tuple[int, int]:
-    """(alpha, beta) of the pattern (x,y)^{r-2}(x^alpha,y)(x,y^beta)."""
-    if cls.branch == Branch.N1:
-        assert cls.alpha is not None and cls.beta is not None
-        return cls.alpha, cls.beta
-    if cls.branch == Branch.N2:  # (x,y)^3 (x,y^2) = (x,y)^{r-2} (x,y) (x,y^2)
-        return 1, 2
-    if cls.branch == Branch.N3:  # (x,y)^2 (x,y^2)(x^2,y) = (x,y)^{r-2} (x^2,y)(x,y^2)
-        return 2, 2
-    raise ValueError(cls.branch)
 
 
 def choose_k(
@@ -397,8 +381,8 @@ def _certify(
     mu_ok = graded_min_gens(matrix) == r + 2
     checks.append(("min_gens_equals_r_plus_2", mu_ok))
 
-    pattern = _pattern_check(cls, oriented, r)
-    if pattern is not None and forced_k is None:
+    pattern = _pattern_check(cls, oriented, r) if forced_k is None else None
+    if pattern is not None:
         checks.append(pattern)
 
     assert factorization is not None

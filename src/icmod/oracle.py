@@ -3,7 +3,7 @@
 Lengths and minimal generator counts are computed by exact rational Gaussian
 elimination over truncations R^2 / m^N R^2 (resp. R / m^N).  Soundness of the
 truncation comes from Fitt_0(F/M) * F being contained in M: once m^N lands in
-the Fitting ideal, the quotient no longer changes, and every result is
+the Fitting ideal, the quotient no longer changes, and every module result is
 re-checked at N+1 before being returned.
 
 The integral-closure oracle here deliberately avoids the Newton polygon: it
@@ -37,25 +37,19 @@ def truncation_margin() -> int:
 
 
 class TruncationSpace:
-    """Index map for monomial basis vectors of rank coordinates, degree < N."""
+    """Positions of the monomial basis vectors of rank coordinates, degree < n:
+    coordinate by coordinate, then by degree, then by x-exponent."""
 
     def __init__(self, n: int, rank: int = 2):
         if n < 1:
             raise ValueError("truncation degree must be >= 1")
         self.n = n
-        self.rank = rank
         self.block = n * (n + 1) // 2
         self.dim = rank * self.block
-        self._index: dict[tuple[int, int, int], int] = {}
-        pos = 0
-        for coord in range(rank):
-            for deg in range(n):
-                for c in range(deg + 1):
-                    self._index[(coord, c, deg - c)] = pos
-                    pos += 1
 
     def index(self, coord: int, c: int, d: int) -> int | None:
-        return self._index.get((coord, c, d))
+        t = c + d
+        return coord * self.block + t * (t + 1) // 2 + c if t < self.n else None
 
 
 def _rank(
@@ -181,23 +175,37 @@ _POLY_TRUNCATION_CAP = 64
 
 
 def poly_ideal_colength(gens: Sequence[Poly]) -> int:
-    """Length of R / (gens) for sparse polynomial generators, e.g. with x+y."""
+    """Length of R / (gens) for sparse polynomial generators, e.g. with x+y.
+
+    The truncation degree grows until two truncations in a row agree, up to
+    degree 64.  When single-term generators include x^a and y^b, m^(a+b-1)
+    lies in the ideal, so the truncation at a + b - 1 is exact and the search
+    stops there; it indexes n(n+1)/2 monomials at degree n, refused above
+    `MAX_OUTPUT_SIZE` before any elimination.
+    """
     if not gens or all(not g for g in gens):
         raise NotFiniteColength("no generators")
+    monomials = [(a, b) for g in gens if len(g) == 1 for coef, a, b in g if coef]
+    x_power = min((a for a, b in monomials if b == 0), default=None)
+    y_power = min((b for a, b in monomials if a == 0), default=None)
+    exact = None if x_power is None or y_power is None else max(1, x_power + y_power - 1)
 
     def value(n: int) -> int:
         space = TruncationSpace(n, rank=1)
         return space.dim - _rank(_poly_rows(gens, space))
 
     n = max(a + b for g in gens for _, a, b in g) + 2
-    while n <= _POLY_TRUNCATION_CAP:
+    while n <= _POLY_TRUNCATION_CAP and (exact is None or n < exact):
         got = value(n)
         if got == value(n + 1):
             return got
         n = max(n + 2, 2 * n - n // 2)
-    raise NotFiniteColength(
-        f"colength did not stabilize below truncation degree {_POLY_TRUNCATION_CAP}"
-    )
+    if exact is None:
+        raise NotFiniteColength(
+            f"colength did not stabilize below truncation degree {_POLY_TRUNCATION_CAP}"
+        )
+    within_budget("truncation", exact * (exact + 1) // 2, "index entries", MAX_OUTPUT_SIZE)
+    return value(exact)
 
 
 def ideal_as_polys(ideal: MonomialIdeal) -> list[Poly]:

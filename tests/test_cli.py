@@ -6,6 +6,7 @@ import pytest
 
 from icmod import format_ideal
 from icmod.cli import main
+from icmod.expr import format_monomial
 
 STAIR_A_SRC = "(x^5, x^4*y^2, x^3*y^3, x^2*y^4, x*y^6, y^7)"
 STAIR_B_SRC = "(x^7, x^5*y, x^3*y^2, x^2*y^3, x*y^5, y^9)"
@@ -73,11 +74,48 @@ class TestModuleCommands:
 
     def test_poly_colength(self, capsys):
         assert run(capsys, "poly-colength", "x^3, y^3, x+y")[1].strip() == "3"
+        assert run(capsys, "poly-colength", "x^30, y^30")[1:] == ("900\n", "")
+        assert run(capsys, "poly-colength", "x^70, y, x+y")[1:] == ("1\n", "")
+        code, out, err = run(capsys, "poly-colength", "x^2000, y^2000")
+        assert code == 1 and out == "" and "budget" in err
         assert run(capsys, "poly-colength", "x^2 - y^3, x*y")[1].strip() == "5"
         code, _, err = run(capsys, "poly-colength", "x^3, y^3, x+y+")
         assert code == 1 and "(line 1, column 15)" in err
         code, _, err = run(capsys, "poly-colength", "*x, y^3, x+y")
         assert code == 1 and "(line 1, column 1)" in err
+
+
+class TestOneValueGolden:
+    def test_golden_over_4_5(self, capsys, small_complete):
+        # SHA-256 of the exit code, stdout and stderr of every one-value
+        # subcommand, human and --json, over the 48 ideals of (4,5) and every
+        # k in 1..b_r-1; a refactor of the front end must leave every byte
+        digest = hashlib.sha256()
+        for ideal in small_complete:
+            src = format_ideal(ideal)
+            calls = [
+                (name, src)
+                for name in ("normalize", "order", "mu", "colength")
+                + ("closure", "complete", "vertices", "factor")
+            ]
+            calls += [
+                (name, src, "--k", str(k))
+                for name in ("construct", "fitting0", "fitting1", "module-length", "module-mu")
+                for k in range(1, ideal.br)
+            ]
+            calls += [
+                ("member", "x*y^2", src),
+                ("product", src, "(x, y^2)"),
+                ("poly-colength", ", ".join(map(format_monomial, ideal.gens)) + ", x+y"),
+            ]
+            for argv in calls:
+                for extra in ((), ("--json",)):
+                    code, out, err = run(capsys, *argv, *extra)
+                    digest.update(f"{code}\0{out}\0{err}\0".encode())
+        assert len(small_complete) == 48
+        assert digest.hexdigest() == (
+            "6b2e54269a094447a1f2278b8f1dcf3aee260e920056b0b3f64601a6cadc8683"
+        )
 
 
 class TestDecide:
@@ -180,6 +218,24 @@ class TestOtherCommands:
         assert code == 0 and "all checks passed" in out
         assert "[PASS] product of the two worked staircases" in out
         assert "[PASS] the (4,5) enumeration yields 48 ideals" in out
+        code, doc, _ = run(capsys, "selftest", "--json")
+        checks = json.loads(doc)["checks"]
+        assert code == 0 and list(json.loads(doc)) == ["checks"]
+        assert [f"[PASS] {c['name']}" for c in checks] == out.splitlines()[:-1]
+        assert all(c["pass"] is True for c in checks)
+
+    def test_selftest_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "icmod.cli._selftest_cases", lambda: iter([("one", True), ("two", False)])
+        )
+        code, out, err = run(capsys, "selftest")
+        assert (code, out) == (1, "[PASS] one\n[FAIL] two\n")
+        assert err == "error: selftest: 1 failure(s)\n"
+        code, out, _ = run(capsys, "selftest", "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "checks": [{"name": "one", "pass": True}, {"name": "two", "pass": False}]
+        }
 
 
 class TestExitCodes:

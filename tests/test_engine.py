@@ -66,15 +66,19 @@ class TestClassify:
         assert (cls.alpha, cls.beta) == (2, 3)
 
     def test_n2(self):
-        assert classify(M ** 3 * xy_ideal(1, 2)).branch == Branch.N2
+        cls = classify(M ** 3 * xy_ideal(1, 2))
+        assert cls.branch == Branch.N2
+        assert (cls.alpha, cls.beta) == (1, 2)
 
     def test_n3(self):
-        ideal = M ** 2 * xy_ideal(1, 2) * xy_ideal(2, 1)
-        assert classify(ideal).branch == Branch.N3
+        cls = classify(M ** 2 * xy_ideal(1, 2) * xy_ideal(2, 1))
+        assert cls.branch == Branch.N3
+        assert (cls.alpha, cls.beta) == (2, 2)
 
     def test_n4_in_raw_orientation(self):
         ideal = M * xy_ideal(1, 2) * xy_ideal(3, 2)
-        assert classify(ideal).branch == Branch.N4
+        cls = classify(ideal)
+        assert cls.branch == Branch.N4 and cls.alpha is cls.beta is None
         # the canonical orientation turns it into a plain Case I instance
         assert classify(orient(ideal)[0]).branch == Branch.CASE_I
 
@@ -109,6 +113,12 @@ class TestChooseK:
         cert = choose_k(STAIR_B)
         assert (cert.branch, cert.k) == (Branch.CASE_I, 3)
         assert cert.verdict == Verdict.INDECOMPOSABLE
+
+    def test_forced_k_skips_the_pattern_check(self, monkeypatch):
+        monkeypatch.setattr("icmod.engine._pattern_check", None)
+        cert = choose_k(M ** 3 * xy_ideal(1, 2), forced_k=1)
+        assert cert.branch == Branch.N2
+        assert not any(name.startswith("matches_") for name, _ in cert.checks)
 
     def test_exceptional_patterns_shift_k(self):
         cube = choose_k(M ** 3)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -108,6 +109,21 @@ class TestPolynomialColength:
             poly_ideal_colength([[(1, 2, 0)]])
         with pytest.raises(NotFiniteColength):
             poly_ideal_colength([])
+
+    def test_pure_powers_bound_the_truncation(self):
+        # x^a and y^b put m^(a+b-1) in the ideal, past the degree-64 search
+        assert poly_ideal_colength([[(1, 30, 0)], [(1, 0, 30)]]) == 900
+        assert poly_ideal_colength([[(1, 70, 0)], [(1, 0, 1)], [(1, 1, 0), (1, 0, 1)]]) == 1
+        assert poly_ideal_colength([[(1, 0, 0)]]) == 0
+        # a zero coefficient is no power of x
+        with pytest.raises(NotFiniteColength):
+            poly_ideal_colength([[(0, 3, 0)], [(1, 0, 3)], [(1, 1, 1)]])
+
+    def test_pure_power_truncation_budget(self):
+        start = time.perf_counter()
+        with pytest.raises(SizeBudgetExceeded):
+            poly_ideal_colength([[(1, 2000, 0)], [(1, 0, 2000)]])
+        assert time.perf_counter() - start < 0.1
 
 
 class TestClosureOracle:
