@@ -7,6 +7,7 @@ preconditions, syntax errors in expressions), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -273,6 +274,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icmod",

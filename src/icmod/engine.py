@@ -21,9 +21,11 @@ check re-derives to true.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import Counter
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 
-from .errors import DomainError, InternalInconsistency, KOutOfRange
+from .errors import InternalInconsistency
 from .newton import (
     Factorization,
     SimpleFactor,
@@ -97,10 +99,6 @@ class Certificate:
             if n == name:
                 return ok
         return None
-
-
-def _xy_factor(ell: int) -> SimpleFactor:
-    return SimpleFactor(1, ell)
 
 
 def orient(ideal: MonomialIdeal) -> tuple[MonomialIdeal, bool]:
@@ -179,7 +177,7 @@ def _classify(ideal: MonomialIdeal, factorization: Factorization | None) -> Clas
     missing = [
         ell
         for ell in range(1, r)
-        if factorization.multiplicity(_xy_factor(ell)) < 1
+        if factorization.multiplicity(SimpleFactor(1, ell)) < 1
     ]
     if missing:
         k0 = missing[0]
@@ -197,7 +195,7 @@ def _classify(ideal: MonomialIdeal, factorization: Factorization | None) -> Clas
     # Case II: strip one copy of each (x, y^l), l = 1..r-1; one order-1 factor is left
     residual = factorization
     for ell in range(1, r):
-        residual = residual.remove(_xy_factor(ell))
+        residual = residual.remove(SimpleFactor(1, ell))
     rest = [f for f, m in residual.factors for _ in range(m)]
     if len(rest) != 1 or rest[0].order != 1:
         raise InternalInconsistency(
@@ -254,8 +252,8 @@ def _split_length(factorization: Factorization, ell: int) -> int:
     module length would equal the sum of the two ideal colengths; a true
     length that differs refutes it.
     """
-    partner = reconstruct(factorization.remove(_xy_factor(ell)))
-    return simple_ideal(_xy_factor(ell)).colength() + partner.colength()
+    partner = reconstruct(factorization.remove(SimpleFactor(1, ell)))
+    return simple_ideal(SimpleFactor(1, ell)).colength() + partner.colength()
 
 
 def _indecomposability_checks(
@@ -263,6 +261,7 @@ def _indecomposability_checks(
     matrix: Presentation2,
     factorization: Factorization,
     k: int,
+    colength: Callable[[Presentation2], int],
 ) -> list[tuple[str, bool]]:
     """The clause chain of the splitting obstruction, as named checks."""
     checks: list[tuple[str, bool]] = []
@@ -277,10 +276,10 @@ def _indecomposability_checks(
     checks.append((f"xy^{ell}_not_in_ideal", xy_out))
     if not xy_out:
         return checks
-    if factorization.multiplicity(_xy_factor(ell)) < 1:
+    if factorization.multiplicity(SimpleFactor(1, ell)) < 1:
         checks.append((f"(x,y^{ell})_not_a_factor", True))
         return checks
-    ok = graded_colength(matrix) != _split_length(factorization, ell)
+    ok = colength(matrix) != _split_length(factorization, ell)
     checks.append(("length_refutes_splitting", ok))
     return checks
 
@@ -288,30 +287,23 @@ def _indecomposability_checks(
 def _pattern_check(
     cls: Classification, ideal: MonomialIdeal, r: int
 ) -> tuple[str, bool] | None:
-    """Branch-specific shape of the factorization, re-derived from scratch."""
-    m = normalize([(1, 0), (0, 1)])
+    """Branch-specific shape of the factorization: the product of its simple factors."""
     if cls.branch in (Branch.N1, Branch.N2, Branch.N3):
-        expected = (
-            m.power(r - 2)
-            * normalize([(cls.alpha, 0), (0, 1)])
-            * normalize([(1, 0), (0, cls.beta)])
-        )
-        return (f"matches_(x,y)^{r - 2}(x^{cls.alpha},y)(x,y^{cls.beta})", expected == ideal)
-    if cls.branch == Branch.N4:
-        expected = m * normalize([(1, 0), (0, 2)]) * closure(normalize([(3, 0), (0, 2)]))
-        return ("matches_(x,y)(x,y^2)cl(x^3,y^2)", expected == ideal)
-    if cls.branch in (Branch.CASE_II_1, Branch.CASE_II_2):
-        expected = m
-        for ell in range(2, r):
-            expected = expected * normalize([(1, 0), (0, ell)])
-        if cls.branch == Branch.CASE_II_1:
-            tail = normalize([(cls.alpha, 0), (0, 1)])
-            name = f"matches_(x,y)..(x,y^{r - 1})(x^{cls.alpha},y)"
-        else:
-            tail = normalize([(1, 0), (0, cls.beta)])
-            name = f"matches_(x,y)..(x,y^{r - 1})(x,y^{cls.beta})"
-        return (name, expected * tail == ideal)
-    return None
+        name = f"matches_(x,y)^{r - 2}(x^{cls.alpha},y)(x,y^{cls.beta})"
+        factors = [(1, 1)] * (r - 2) + [(cls.alpha, 1), (1, cls.beta)]
+    elif cls.branch == Branch.N4:
+        name = "matches_(x,y)(x,y^2)cl(x^3,y^2)"
+        factors = [(1, 1), (1, 2), (3, 2)]
+    elif cls.branch == Branch.CASE_II_1:
+        name = f"matches_(x,y)..(x,y^{r - 1})(x^{cls.alpha},y)"
+        factors = [(1, ell) for ell in range(1, r)] + [(cls.alpha, 1)]
+    elif cls.branch == Branch.CASE_II_2:
+        name = f"matches_(x,y)..(x,y^{r - 1})(x,y^{cls.beta})"
+        factors = [(1, ell) for ell in range(1, r)] + [(1, cls.beta)]
+    else:
+        return None
+    expected = Factorization.from_counts(Counter(SimpleFactor(*f) for f in factors))
+    return (name, reconstruct(expected) == ideal)
 
 
 def choose_k(
@@ -324,16 +316,23 @@ def choose_k(
     The input is checked for completeness (or closed) once; transposing
     keeps it complete, so the oriented ideal is factored without a check.
     """
-    original = ideal
-    closed: MonomialIdeal | None = None
-    if close_first:
-        closed = closure(ideal)
-        if closed == ideal:
-            closed = None
-    else:
+    return _decide(ideal, forced_k, close_first, graded_min_gens, graded_colength)
+
+
+def _decide(
+    ideal: MonomialIdeal,
+    forced_k: int | None,
+    close_first: bool,
+    min_gens: Callable[[Presentation2], int],
+    colength: Callable[[Presentation2], int],
+) -> Certificate:
+    """`choose_k` with mu and the module length taken from `min_gens` and `colength`."""
+    closed = closure(ideal) if close_first else None
+    if closed is None:
         require_complete(ideal)
-    working = ideal if closed is None else closed
-    oriented, transposed = orient(working)
+    elif closed == ideal:
+        closed = None
+    oriented, transposed = orient(ideal if closed is None else closed)
     r = oriented.order()
     factorization = _factor(oriented)
     cls = _classify(oriented, factorization)
@@ -342,9 +341,11 @@ def choose_k(
         k, matrix, checks = None, None, ()
         verdict = Verdict.OPEN if cls.branch == Branch.R2_OPEN else Verdict.NOT_COVERED
     else:
-        k, matrix, checks, verdict = _certify(cls, oriented, factorization, forced_k)
+        k, matrix, checks, verdict = _certify(
+            cls, oriented, factorization, forced_k, min_gens, colength
+        )
     return Certificate(
-        input=original,
+        input=ideal,
         closed_input=closed,
         transposed=transposed,
         ideal=oriented,
@@ -364,6 +365,8 @@ def _certify(
     oriented: MonomialIdeal,
     factorization: Factorization | None,
     forced_k: int | None,
+    min_gens: Callable[[Presentation2], int],
+    colength: Callable[[Presentation2], int],
 ) -> tuple[int, Presentation2, tuple[tuple[str, bool], ...], Verdict]:
     """k, M_k, the named checks and the verdict for a branch the theory covers."""
     r = oriented.order()
@@ -378,7 +381,7 @@ def _certify(
     ell = ell_value(oriented, k)
     fit1_ok = fitting1(matrix) == normalize([(1, 0), (0, ell)])
     checks.append((f"fitting1_equals_(x,y^{ell})", fit1_ok))
-    mu_ok = graded_min_gens(matrix) == r + 2
+    mu_ok = min_gens(matrix) == r + 2
     checks.append(("min_gens_equals_r_plus_2", mu_ok))
 
     pattern = _pattern_check(cls, oriented, r) if forced_k is None else None
@@ -386,7 +389,7 @@ def _certify(
         checks.append(pattern)
 
     assert factorization is not None
-    checks.extend(_indecomposability_checks(oriented, matrix, factorization, k))
+    checks.extend(_indecomposability_checks(oriented, matrix, factorization, k, colength))
 
     # integral closedness of M_k is settled for k <= r-1 whenever
     # Fitt_0(M_k) = I, and for the designated k of the Case II branches
@@ -402,85 +405,31 @@ def _certify(
 
 
 def certificate_diff(cert: Certificate) -> list[str]:
-    """Re-derive every recorded field; list the mismatches (empty means valid)."""
-    diffs: list[str] = []
-    working = cert.closed_input if cert.closed_input is not None else cert.input
-    if cert.closed_input is not None and closure(cert.input) != cert.closed_input:
-        diffs.append("closed_input is not the closure of the input")
-        return diffs
-    try:
-        oriented, transposed = orient(working)
-    except Exception as exc:  # noqa: BLE001 - report, never raise
-        return [f"orientation failed: {exc}"]
-    if oriented != cert.ideal:
-        diffs.append("oriented ideal mismatch")
-        return diffs
-    if transposed != cert.transposed:
-        diffs.append("transposed flag mismatch")
-    try:
-        fresh = choose_k(
-            working,
-            forced_k=cert.k if cert.forced_k else None,
-            close_first=cert.closed_input is not None,
-        )
-    except Exception as exc:  # noqa: BLE001
-        return diffs + [f"re-running the decision failed: {exc}"]
-    for name in ("order", "branch", "factorization", "verdict"):
-        if getattr(fresh, name) != getattr(cert, name):
-            diffs.append(f"{name} mismatch")
-    expected_checks = fresh.checks
-    if cert.k != fresh.k:
-        if (
-            cert.branch == Branch.NO_ORDER1_FACTOR
-            and cert.k in valid_k_set(classify(oriented), oriented.order())
-        ):
-            # another certified k: its checks are those of the decision forced
-            # to that k, as this branch has no pattern check
-            try:
-                expected_checks = choose_k(
-                    working,
-                    forced_k=cert.k,
-                    close_first=cert.closed_input is not None,
-                ).checks
-            except Exception as exc:  # noqa: BLE001
-                return diffs + [f"re-deriving the checks at k={cert.k} failed: {exc}"]
-        else:
-            diffs.append("k mismatch")
-            expected_checks = None
-    if cert.k is not None:
-        try:
-            expected_matrix = build_Mk(oriented, cert.k)
-        except KOutOfRange:
-            diffs.append("recorded k is out of range")
-        else:
-            if cert.matrix != expected_matrix:
-                diffs.append("matrix mismatch")
-    if expected_checks is not None and tuple(cert.checks) != tuple(expected_checks):
-        diffs.append("checks mismatch")
-    if not diffs and cert.matrix is not None:
-        diffs.extend(_oracle_diffs(cert))
-    return diffs
+    """Re-run the decision with mu and the module length from the truncation
+    oracle; name every recorded field it does not reproduce (empty means valid).
 
-
-def _oracle_diffs(cert: Certificate) -> list[str]:
-    """Re-derive the recorded mu and length flags with the truncation oracle.
-
-    The decision computes them by the graded count, so a fault in either
-    derivation shows up here as a disagreement.
+    The decision takes both from the graded count, so a fault in either shows
+    up as a disagreement.  A forced k, or another certified k of NoOrder1Factor,
+    is re-run as recorded.
     """
-    diffs: list[str] = []
+    other_k = cert.branch == Branch.NO_ORDER1_FACTOR and 0 < (cert.k or 0) < cert.order
+    k = cert.k if cert.forced_k or other_k else None
     try:
-        mu_ok = module_min_gens(cert.matrix) == cert.order + 2
-        if cert.check("min_gens_equals_r_plus_2") != mu_ok:
-            diffs.append("min_gens_equals_r_plus_2 disagrees with the truncation oracle")
-        recorded = cert.check("length_refutes_splitting")
-        if recorded is not None:
-            ell = ell_value(cert.ideal, cert.k)
-            ok = module_colength(cert.matrix) != _split_length(cert.factorization, ell)
-            if recorded != ok:
-                diffs.append("length_refutes_splitting disagrees with the truncation oracle")
-    except DomainError as exc:
-        diffs.append(f"truncation oracle failed: {exc}")
+        fresh = _decide(
+            cert.input, k, cert.closed_input is not None, module_min_gens, module_colength
+        )
+    except Exception as exc:  # noqa: BLE001 - report, never raise
+        return [f"re-running the decision failed: {exc}"]
+    diffs = []
+    for name in (f.name for f in fields(Certificate) if f.name != "forced_k"):
+        if getattr(cert, name) == getattr(fresh, name):
+            continue
+        if name == "checks":
+            unmatched = [n for n, ok in cert.checks if (n, ok) not in fresh.checks]
+            if unmatched:
+                diffs.append(f"checks mismatch: {', '.join(unmatched)}")
+                continue
+        diffs.append(f"{name} mismatch")
     return diffs
 
 

@@ -6,6 +6,7 @@ from icmod import (
     Branch,
     KOutOfRange,
     NotComplete,
+    Presentation2,
     Verdict,
     certificate_diff,
     choose_k,
@@ -283,9 +284,37 @@ class TestCertificates:
         honest = dataclasses.replace(choose_k(ideal, forced_k=2), forced_k=False)
         assert certificate_diff(honest) == []
 
+    def test_single_field_forgeries_rejected(self, full_enumeration):
+        # every certificate with one field changed: k + 1, the next branch and
+        # verdict, transposed, a closure never taken, one factor, each check
+        # flag and the last matrix column
+        branches, verdicts = list(Branch), list(Verdict)
+        forged = 0
+        for ideal in full_enumeration:
+            cert = choose_k(ideal)
+            swaps = [
+                {"k": 1 if cert.k is None else cert.k + 1},
+                {"branch": branches[(branches.index(cert.branch) + 1) % len(branches)]},
+                {"verdict": verdicts[(verdicts.index(cert.verdict) + 1) % len(verdicts)]},
+                {"transposed": not cert.transposed},
+                {"closed_input": cert.input},
+                {"factorization": cert.factorization.remove(cert.factorization.factors[0][0])},
+            ]
+            swaps += [
+                {"checks": cert.checks[:i] + ((name, not ok),) + cert.checks[i + 1 :]}
+                for i, (name, ok) in enumerate(cert.checks)
+            ]
+            if cert.matrix is not None:
+                *cols, (top, (u, v)) = cert.matrix.cols
+                swaps.append({"matrix": Presentation2((*cols, (top, (u, v + 1))))})
+            for swap in swaps:
+                assert not verify_certificate(dataclasses.replace(cert, **swap)), (ideal, swap)
+            forged += len(swaps)
+        assert forged > 3000
+
     def test_verifier_catches_a_faulty_graded_count(self, monkeypatch):
-        # the decision and its re-run share the graded count; the verifier's
-        # truncation oracle does not, so a fault there is a disagreement
+        # the verifier re-runs the decision with the truncation oracle in place
+        # of the graded count, so a fault in the count is a disagreement
         from icmod import engine
 
         ideal = M ** 3
@@ -293,7 +322,8 @@ class TestCertificates:
         cert = choose_k(ideal)
         assert cert.check("min_gens_equals_r_plus_2") is False
         assert certificate_diff(cert) == [
-            "min_gens_equals_r_plus_2 disagrees with the truncation oracle"
+            "checks mismatch: min_gens_equals_r_plus_2",
+            "verdict mismatch",
         ]
         monkeypatch.undo()
         split = engine._split_length(zariski_factor(ideal), 1)
@@ -301,5 +331,6 @@ class TestCertificates:
         cert = choose_k(ideal)
         assert cert.check("length_refutes_splitting") is False
         assert certificate_diff(cert) == [
-            "length_refutes_splitting disagrees with the truncation oracle"
+            "checks mismatch: length_refutes_splitting",
+            "verdict mismatch",
         ]
