@@ -94,12 +94,6 @@ class Certificate:
     verdict: Verdict
     forced_k: bool = field(default=False)
 
-    def check(self, name: str) -> bool | None:
-        for n, ok in self.checks:
-            if n == name:
-                return ok
-        return None
-
 
 def orient(ideal: MonomialIdeal) -> tuple[MonomialIdeal, bool]:
     """Flip to a_0 <= b_r; on ties pick the lexicographically smaller staircase.

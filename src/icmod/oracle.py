@@ -1,10 +1,12 @@
 """Independent brute-force oracles.
 
-Lengths and minimal generator counts are computed by exact rational Gaussian
-elimination over truncations R^2 / m^N R^2 (resp. R / m^N).  Soundness of the
-truncation comes from Fitt_0(F/M) * F being contained in M: once m^N lands in
-the Fitting ideal, the quotient no longer changes, and every module result is
-re-checked at N+1 before being returned.
+Lengths and minimal generator counts are ranks of spanning rows over
+truncations R^2 / m^N R^2 (resp. R / m^N).  Soundness of the truncation comes
+from Fitt_0(F/M) * F being contained in M: once m^N lands in the Fitting
+ideal, the quotient no longer changes.  Every module result is read at N by
+exact rational Gaussian elimination and re-checked at N+1 by an integer
+union-find rank of the same rows, so the check catches a fault of either
+kernel as well as a truncation that is too small.
 
 The integral-closure oracle here deliberately avoids the Newton polygon: it
 tests membership of powers m^n in I^n, which is what the closure machinery is
@@ -112,19 +114,82 @@ def _module_rows(
                     yield row
 
 
-def _rechecked(value: Callable[[int], int], n: int, what: str) -> int:
-    """value(n), after checking that the truncation at n + 1 agrees.  That
-    truncation indexes the 2 * (n + 1)(n + 2) / 2 monomials of R^2 below it,
-    refused above `MAX_OUTPUT_SIZE` before any elimination."""
+def _incidence_rank(
+    pres: Presentation2,
+    space: TruncationSpace,
+    min_mult_degree: int,
+    max_mult_degree: int | None = None,
+    parent: list[int] | None = None,
+) -> int:
+    """Rank over Q of `_module_rows(pres, space, ...)`, in integers only.
+
+    Each row is a monomial multiple of a column: at most two entries, both 1,
+    one in each coordinate.  With the second coordinate's sign flipped, a
+    two-entry row is the edge e_i - e_j of a bipartite graph on the positions,
+    and a one-entry row e_i is the edge from i to one extra ground position
+    (so a component holding a one-entry row is flagged by the ground).  The
+    rank of a graph's edge vectors is the number of edges that join two
+    components, counted here on a union-find.  The result is the rank that
+    these rows add to those already joined in `parent` (a fresh union-find,
+    `list(range(space.dim + 1))`, when none is given), so a later call on
+    the same `parent` carries on from this one.
+    """
+    ground = space.dim
+    if parent is None:
+        parent = list(range(ground + 1))
+    n = space.n
+    added = 0
+    for top, bot in pres.cols:
+        low = min(e[0] + e[1] for e in (top, bot) if e is not None)
+        stop = n - low if max_mult_degree is None else min(n - low, max_mult_degree + 1)
+        for deg in range(min_mult_degree, stop):
+            # within one degree, positions run by x-exponent: the multiple
+            # x^c y^(deg-c) of an entry sits c past its multiple by y^deg
+            ends = [
+                index
+                for coord, entry in ((0, top), (1, bot))
+                if entry is not None
+                and (index := space.index(coord, entry[0], entry[1] + deg)) is not None
+            ]
+            first, second, step = (*ends, 1) if len(ends) == 2 else (ends[0], ground, 0)
+            for c in range(deg + 1):
+                i = first + c
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]
+                j = second + step * c
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if i != j:
+                    # the larger root wins, so the ground stays a root
+                    if i < j:
+                        parent[i] = j
+                    else:
+                        parent[j] = i
+                    added += 1
+    return added
+
+
+def _rechecked(
+    value: Callable[[int], int], recheck: Callable[[int], int], n: int, what: str
+) -> int:
+    """value(n), after checking that recheck(n + 1) agrees.  The two readings
+    come from the two rank kernels, so the check catches a fault of either as
+    well as a truncation that is too small.  The truncation at n + 1 indexes
+    the 2 * (n + 1)(n + 2) / 2 monomials of R^2 below it, refused above
+    `MAX_OUTPUT_SIZE` before any elimination."""
     within_budget("truncation", (n + 1) * (n + 2), "index entries", MAX_OUTPUT_SIZE)
     got = value(n)
-    if got != value(n + 1):
-        raise InternalInconsistency(f"{what} unstable between truncations {n} and {n + 1}")
+    if got != recheck(n + 1):
+        raise InternalInconsistency(
+            f"{what}: the Fraction reading at truncation {n} and the union-find"
+            f" reading at {n + 1} disagree"
+        )
     return got
 
 
 def module_colength(pres: Presentation2) -> int:
-    """Length of R^2 / M, computed in a truncation and re-checked at N+1."""
+    """Length of R^2 / M: the `Fraction` elimination in a truncation, re-checked
+    by the union-find rank at N+1."""
     ideal = finite_fitting0(pres)
     base = max(1, ideal.a0 + ideal.br)
 
@@ -132,24 +197,36 @@ def module_colength(pres: Presentation2) -> int:
         space = TruncationSpace(n)
         return space.dim - _rank(_module_rows(pres, space, 0))
 
-    return _rechecked(value, base, "module colength")
+    def recheck(n: int) -> int:
+        space = TruncationSpace(n)
+        return space.dim - _incidence_rank(pres, space, 0)
+
+    return _rechecked(value, recheck, base, "module colength")
 
 
 def module_min_gens(pres: Presentation2) -> int:
-    """Minimal number of generators, as dim of M / mM in a truncation."""
+    """Minimal number of generators, as dim of M / mM in a truncation: the
+    `Fraction` elimination, re-checked by the union-find rank at N+1."""
     ideal = finite_fitting0(pres)
     base = max(1, ideal.a0 + ideal.br + truncation_margin())
 
+    # each reading ranks mM first, then carries on with the columns
+    # themselves, which gives the rank of M
+
     def value(n: int) -> int:
-        # one elimination: the rank of mM first, then the columns themselves
-        # continue on the same pivots, which gives the rank of M
         space = TruncationSpace(n)
         pivots: dict[int, dict[int, Fraction]] = {}
         shifted = _rank(_module_rows(pres, space, 1), pivots)
         full = _rank(_module_rows(pres, space, 0, 0), pivots)
         return full - shifted
 
-    return _rechecked(value, base, "minimal generator count")
+    def recheck(n: int) -> int:
+        space = TruncationSpace(n)
+        parent = list(range(space.dim + 1))
+        _incidence_rank(pres, space, 1, parent=parent)
+        return _incidence_rank(pres, space, 0, 0, parent)
+
+    return _rechecked(value, recheck, base, "minimal generator count")
 
 
 def _poly_rows(polys: Sequence[Poly], space: TruncationSpace) -> Iterator[dict[int, Fraction]]:

@@ -24,7 +24,7 @@ Monomial = tuple[int, int]
 # edges corners (that of (x^999999, y^999999) takes 0.14 s and 140 MB), a
 # figure draws a_0 + b_r + 2 axis ticks (an 85 MB figure in 0.3 s and 230 MB),
 # the module oracles index (n + 1)(n + 2) monomials at their re-check degree
-# n + 1 (7 s and 424 MB) and the polynomial one n(n + 1)/2 at its exact
+# n + 1 (3.5 s and 384 MB) and the polynomial one n(n + 1)/2 at its exact
 # degree n (2.8 s and 346 MB), and an enumeration keeps every generator of
 # the ideals it builds.
 MAX_PRODUCT_CANDIDATES = 1_000_000

@@ -320,7 +320,7 @@ class TestCertificates:
         ideal = M ** 3
         monkeypatch.setattr(engine, "graded_min_gens", lambda pres: 0)
         cert = choose_k(ideal)
-        assert cert.check("min_gens_equals_r_plus_2") is False
+        assert dict(cert.checks).get("min_gens_equals_r_plus_2") is False
         assert certificate_diff(cert) == [
             "checks mismatch: min_gens_equals_r_plus_2",
             "verdict mismatch",
@@ -329,7 +329,7 @@ class TestCertificates:
         split = engine._split_length(zariski_factor(ideal), 1)
         monkeypatch.setattr(engine, "graded_colength", lambda pres: split)
         cert = choose_k(ideal)
-        assert cert.check("length_refutes_splitting") is False
+        assert dict(cert.checks).get("length_refutes_splitting") is False
         assert certificate_diff(cert) == [
             "checks mismatch: length_refutes_splitting",
             "verdict mismatch",

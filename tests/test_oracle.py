@@ -24,7 +24,16 @@ from icmod import (
     reconstruct,
     simple_ideal,
 )
-from icmod.oracle import _primitive_pairs, ideal_as_polys, truncation_margin
+from icmod.errors import InternalInconsistency
+from icmod.oracle import (
+    TruncationSpace,
+    _incidence_rank,
+    _module_rows,
+    _primitive_pairs,
+    _rank,
+    ideal_as_polys,
+    truncation_margin,
+)
 from tests.conftest import brute_ideals
 
 STAIR_B = normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
@@ -51,6 +60,9 @@ class TestModuleOracles:
         pres = diagonal_presentation(left, right)
         assert module_min_gens(pres) == len(left.gens) + len(right.gens)
         assert graded_min_gens(pres) == len(left.gens) + len(right.gens)
+        # a repeated column and a multiple of another one add no generator
+        redundant = Presentation2(pres.cols + (pres.cols[0], ((3, 1), None)))
+        assert module_min_gens(redundant) == len(left.gens) + len(right.gens)
 
     def test_min_gens_of_attached_module(self):
         assert module_min_gens(build_Mk(STAIR_B, 3)) == STAIR_B.r + 2
@@ -86,6 +98,85 @@ class TestModuleOracles:
             for k in range(1, ideal.br):
                 pres = build_Mk(ideal, k)
                 assert module_min_gens(pres) == graded_min_gens(pres), (ideal, k)
+
+
+def assert_kernels_agree(pres, n):
+    """The union-find rank equals the Fraction elimination's on the rows of
+    mM, of the columns carried on from mM, and of M, which those two span."""
+    space = TruncationSpace(n)
+    pivots = {}
+    shifted = _rank(_module_rows(pres, space, 1), pivots)
+    added = _rank(_module_rows(pres, space, 0, 0), pivots) - shifted
+    want = (shifted + added, shifted, added)
+    parent = list(range(space.dim + 1))
+    got = (
+        _incidence_rank(pres, space, 0),
+        _incidence_rank(pres, space, 1, parent=parent),
+        _incidence_rank(pres, space, 0, 0, parent),
+    )
+    assert got == want, (pres, n)
+
+
+def random_presentation(rng):
+    """Up to six columns of random monomials or blanks, some repeated; the
+    exponents reach past the truncations they are ranked in."""
+
+    def entry():
+        return (rng.randint(0, 6), rng.randint(0, 6)) if rng.random() < 0.8 else None
+
+    cols = []
+    for _ in range(rng.randint(1, 6)):
+        col = (entry(), entry())
+        if col == (None, None):
+            col = ((0, rng.randint(0, 3)), None)
+        cols += [col] * rng.choice((1, 1, 1, 2))
+    return Presentation2(tuple(cols))
+
+
+class TestIncidenceRank:
+    def test_matches_fraction_rank_over_6_8(self, full_enumeration):
+        for ideal in full_enumeration:
+            for k in range(1, ideal.br):
+                base = ideal.a0 + ideal.br
+                for n in (base, base + 1):
+                    assert_kernels_agree(build_Mk(ideal, k), n)
+
+    def test_matches_fraction_rank_on_random_presentations(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            pres = random_presentation(rng)
+            base = rng.randint(1, 8)
+            for n in (base, base + 1):
+                assert_kernels_agree(pres, n)
+
+    def test_matches_fraction_rank_on_split_modules(self):
+        right = normalize([(2, 0), (1, 1), (0, 3)])
+        for left in brute_ideals(3, 3):
+            base = max(left.a0 + left.br, right.a0 + right.br)
+            for n in (base, base + 1):
+                assert_kernels_agree(diagonal_presentation(left, right), n)
+
+    def test_a_fault_in_either_reading_is_caught(self, monkeypatch):
+        pres = build_Mk(STAIR_B, 3)
+        rank, incidence_rank = _rank, _incidence_rank
+
+        def fraction_off_by_one(rows, pivots=None):
+            # one more on the first elimination: the rank of M for the
+            # colength, the rank of mM for the generator count
+            first = not pivots
+            return rank(rows, pivots) + first
+
+        def incidence_off_by_one(*args, **kwargs):
+            return incidence_rank(*args, **kwargs) + 1
+
+        faults = {"_rank": fraction_off_by_one, "_incidence_rank": incidence_off_by_one}
+        for name, fault in faults.items():
+            monkeypatch.setattr(f"icmod.oracle.{name}", fault)
+            for oracle in (module_min_gens, module_colength):
+                with pytest.raises(InternalInconsistency, match="disagree"):
+                    oracle(pres)
+            monkeypatch.undo()
+        assert module_min_gens(pres) == STAIR_B.r + 2
 
 
 class TestPolynomialColength:
