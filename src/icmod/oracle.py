@@ -1,12 +1,17 @@
 """Independent brute-force oracles.
 
-Lengths and minimal generator counts are ranks of spanning rows over
-truncations R^2 / m^N R^2 (resp. R / m^N).  Soundness of the truncation comes
-from Fitt_0(F/M) * F being contained in M: once m^N lands in the Fitting
-ideal, the quotient no longer changes.  Every module result is read at N by
-exact rational Gaussian elimination and re-checked at N+1 by an integer
-union-find rank of the same rows, so the check catches a fault of either
-kernel as well as a truncation that is too small.
+The module length and minimal generator count are ranks of spanning rows in
+one exact finite quotient.  Let F = R^2 and I = Fitt_0(F/M).  Then IF lies in
+M (Eisenbud, GTM 150, Prop. 20.7), and x^a_0, y^b_r lie in I, so B =
+(x^(a_0+1), y^(b_r+1)) gives BF in mIF, in mM, in M.  F/BF is the box of the
+monomials x^c y^d, c <= a_0, d <= b_r, in each coordinate, and there
+dim M/mM = rank(M) - rank(mM) and length(F/M) = dim(F/BF) - rank(M).  The
+rows are the monomial multiples of the columns reduced mod BF, and two
+kernels rank the same rows: exact rational Gaussian elimination, and an
+integer union-find, since the rows are the incidence rows of a graph
+(Godsil-Royle, GTM 207, Sec. 8.2).  They share no elimination, so a fault in
+either shows as a disagreement.  Lengths of polynomial ideals are ranks over
+truncations R / m^N.
 
 The integral-closure oracle here deliberately avoids the Newton polygon: it
 tests membership of powers m^n in I^n, which is what the closure machinery is
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInconsistency, NotFiniteColength
 from .newton import SimpleFactor, simple_ideal
@@ -30,11 +35,10 @@ Poly = Sequence[Term]
 
 
 def truncation_margin() -> int:
-    """Degrees past a_0 + b_r at which `module_min_gens` truncates: none.
-
-    m^(a_0+b_r-1) lies in I = Fitt_0 and Fitt_0 R^2 in M, so m^(a_0+b_r) R^2
-    lies in mM and degrees below a_0 + b_r hold all of M/mM.
-    """
+    """0.  Kept only for the benchmark's span observer, which reports
+    n(n + 1), n = a_0 + b_r + this margin, as `oracle.truncation_dim`; the
+    module oracles rank in the box of the module docstring and read no
+    margin."""
     return 0
 
 
@@ -89,144 +93,132 @@ def _rank(
     return len(pivots)
 
 
-def _module_rows(
-    pres: Presentation2,
-    space: TruncationSpace,
-    min_mult_degree: int,
-    max_mult_degree: int | None = None,
-) -> Iterator[dict[int, Fraction]]:
-    """Rows spanning (monomial multiples of the columns) inside the truncation."""
-    n = space.n
-    for top, bot in pres.cols:
-        low = min(e[0] + e[1] for e in (top, bot) if e is not None)
-        stop = n - low if max_mult_degree is None else min(n - low, max_mult_degree + 1)
-        for deg in range(min_mult_degree, stop):
-            for c in range(deg + 1):
-                d = deg - c
-                row: dict[int, Fraction] = {}
-                for coord, entry in ((0, top), (1, bot)):
-                    if entry is None:
-                        continue
-                    idx = space.index(coord, entry[0] + c, entry[1] + d)
-                    if idx is not None:
-                        row[idx] = Fraction(1)
-                if row:
-                    yield row
+def _box_ends(pres: Presentation2, a: int, b: int) -> Iterator[list[tuple[int, int, int]]]:
+    """For each column, the entries that lie in the box c <= a, d <= b of F:
+    each as its position and how far x and y can move it inside the box.
 
-
-def _incidence_rank(
-    pres: Presentation2,
-    space: TruncationSpace,
-    min_mult_degree: int,
-    max_mult_degree: int | None = None,
-    parent: list[int] | None = None,
-) -> int:
-    """Rank over Q of `_module_rows(pres, space, ...)`, in integers only.
-
-    Each row is a monomial multiple of a column: at most two entries, both 1,
-    one in each coordinate.  With the second coordinate's sign flipped, a
-    two-entry row is the edge e_i - e_j of a bipartite graph on the positions,
-    and a one-entry row e_i is the edge from i to one extra ground position
-    (so a component holding a one-entry row is flagged by the ground).  The
-    rank of a graph's edge vectors is the number of edges that join two
-    components, counted here on a union-find.  The result is the rank that
-    these rows add to those already joined in `parent` (a fresh union-find,
-    `list(range(space.dim + 1))`, when none is given), so a later call on
-    the same `parent` carries on from this one.
+    x^c y^d in coordinate `coord` sits at coord * block + d * (a + 1) + c,
+    block = (a + 1)(b + 1).
     """
-    ground = space.dim
-    if parent is None:
-        parent = list(range(ground + 1))
-    n = space.n
+    width = a + 1
+    block = width * (b + 1)
+    for col in pres.cols:
+        yield [
+            (coord * block + e[1] * width + e[0], a - e[0], b - e[1])
+            for coord, e in enumerate(col)
+            if e is not None and e[0] <= a and e[1] <= b
+        ]
+
+
+def _box_row_count(pres: Presentation2, a: int, b: int) -> int:
+    """How many rows `_box_rows` lists, in O(columns): the multiples that keep
+    an entry in the box form a rectangle anchored at x^0 y^0, and a two-entry
+    column lists the union of its two rectangles."""
+    count = 0
+    for ends in _box_ends(pres, a, b):
+        count += sum((w + 1) * (h + 1) for _, w, h in ends)
+        if len(ends) == 2:
+            (_, w1, h1), (_, w2, h2) = ends
+            count -= (min(w1, w2) + 1) * (min(h1, h2) + 1)
+    return count
+
+
+def _box_rows(pres: Presentation2, a: int, b: int, shifted: bool) -> Iterator[tuple[int, int]]:
+    """The monomial multiples of the columns reduced mod BF, B = (x^(a+1),
+    y^(b+1)): the multiples by m (the rows of mM) when `shifted`, else the
+    columns themselves.  An entry outside the box is 0 mod BF, and a multiple
+    with none inside is 0 and not listed.  A row is the pair of its entries'
+    positions, the second the ground position 2(a + 1)(b + 1) when only one
+    entry is left."""
+    width = a + 1
+    ground = 2 * width * (b + 1)
+    for ends in _box_ends(pres, a, b):
+        if not ends:
+            continue
+        # a one-entry column gets a second entry that never lands in the box
+        (p, pc, pd), (q, qc, qd) = ends if len(ends) == 2 else (*ends, (ground, -1, -1))
+        if not shifted:
+            yield p, q
+            continue
+        for d in range(max(pd, qd) + 1):
+            for c in range(0 if d else 1, max(pc, qc) + 1):
+                keeps_p = c <= pc and d <= pd
+                keeps_q = c <= qc and d <= qd
+                if keeps_p:
+                    yield p + d * width + c, q + d * width + c if keeps_q else ground
+                elif keeps_q:
+                    yield q + d * width + c, ground
+
+
+def _incidence_rank(rows: Iterable[tuple[int, int]], parent: list[int]) -> int:
+    """Rank over Q of the rows of `_box_rows`, in integers only.
+
+    The two entries of a row lie in different coordinates, so with the second
+    coordinate's sign flipped a row is the edge e_i - e_j of a bipartite
+    graph on the positions, and a one-entry row is the edge from its position
+    to the ground, the last position of the union-find `parent`.  The rank of
+    a graph's edge vectors is the number of edges that join two components,
+    so the result is the rank these rows add to those already joined there.
+    """
     added = 0
-    for top, bot in pres.cols:
-        low = min(e[0] + e[1] for e in (top, bot) if e is not None)
-        stop = n - low if max_mult_degree is None else min(n - low, max_mult_degree + 1)
-        for deg in range(min_mult_degree, stop):
-            # within one degree, positions run by x-exponent: the multiple
-            # x^c y^(deg-c) of an entry sits c past its multiple by y^deg
-            ends = [
-                index
-                for coord, entry in ((0, top), (1, bot))
-                if entry is not None
-                and (index := space.index(coord, entry[0], entry[1] + deg)) is not None
-            ]
-            first, second, step = (*ends, 1) if len(ends) == 2 else (ends[0], ground, 0)
-            for c in range(deg + 1):
-                i = first + c
-                while parent[i] != i:
-                    parent[i] = i = parent[parent[i]]
-                j = second + step * c
-                while parent[j] != j:
-                    parent[j] = j = parent[parent[j]]
-                if i != j:
-                    # the larger root wins, so the ground stays a root
-                    if i < j:
-                        parent[i] = j
-                    else:
-                        parent[j] = i
-                    added += 1
+    for i, j in rows:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            # either root may win without changing the count; the larger does
+            if i < j:
+                parent[i] = j
+            else:
+                parent[j] = i
+            added += 1
     return added
 
 
-def _rechecked(
-    value: Callable[[int], int], recheck: Callable[[int], int], n: int, what: str
-) -> int:
-    """value(n), after checking that recheck(n + 1) agrees.  The two readings
-    come from the two rank kernels, so the check catches a fault of either as
-    well as a truncation that is too small.  The truncation at n + 1 indexes
-    the 2 * (n + 1)(n + 2) / 2 monomials of R^2 below it, refused above
-    `MAX_OUTPUT_SIZE` before any elimination."""
-    within_budget("truncation", (n + 1) * (n + 2), "index entries", MAX_OUTPUT_SIZE)
-    got = value(n)
-    if got != recheck(n + 1):
-        raise InternalInconsistency(
-            f"{what}: the Fraction reading at truncation {n} and the union-find"
-            f" reading at {n + 1} disagree"
+def _box_ranks(pres: Presentation2, a: int, b: int) -> tuple[int, int, int]:
+    """dim F/BF, rank(mM) and rank(M) in the box c <= a, d <= b of F = R^2.
+
+    Both kernels rank the rows of mM and then carry on with the columns
+    themselves, which gives the rank of M; they must agree on both ranks.
+    The box's positions and rows count against `MAX_OUTPUT_SIZE` first.
+    """
+    dim = 2 * (a + 1) * (b + 1)
+    within_budget("module oracle box", dim, "index entries", MAX_OUTPUT_SIZE)
+    within_budget("module oracle box", _box_row_count(pres, a, b), "rows", MAX_OUTPUT_SIZE)
+    pivots: dict[int, dict[int, Fraction]] = {}
+    parent = list(range(dim + 1))
+    incidence = 0
+    ranks = []
+    for shifted in (True, False):
+        rows = (
+            {i: Fraction(1), j: Fraction(1)} if j < dim else {i: Fraction(1)}
+            for i, j in _box_rows(pres, a, b, shifted)
         )
-    return got
+        fraction = _rank(rows, pivots)
+        incidence += _incidence_rank(_box_rows(pres, a, b, shifted), parent)
+        if fraction != incidence:
+            raise InternalInconsistency(
+                f"module oracle: the Fraction elimination ranks {'mM' if shifted else 'M'}"
+                f" at {fraction} and the union-find at {incidence}; the two kernels disagree"
+            )
+        ranks.append(fraction)
+    return dim, ranks[0], ranks[1]
 
 
 def module_colength(pres: Presentation2) -> int:
-    """Length of R^2 / M: the `Fraction` elimination in a truncation, re-checked
-    by the union-find rank at N+1."""
+    """Length of R^2 / M: dim F/BF - rank(M), with B from Fitt_0."""
     ideal = finite_fitting0(pres)
-    base = max(1, ideal.a0 + ideal.br)
-
-    def value(n: int) -> int:
-        space = TruncationSpace(n)
-        return space.dim - _rank(_module_rows(pres, space, 0))
-
-    def recheck(n: int) -> int:
-        space = TruncationSpace(n)
-        return space.dim - _incidence_rank(pres, space, 0)
-
-    return _rechecked(value, recheck, base, "module colength")
+    dim, _, full = _box_ranks(pres, ideal.a0, ideal.br)
+    return dim - full
 
 
 def module_min_gens(pres: Presentation2) -> int:
-    """Minimal number of generators, as dim of M / mM in a truncation: the
-    `Fraction` elimination, re-checked by the union-find rank at N+1."""
+    """Minimal number of generators: dim M/mM = rank(M) - rank(mM) in F/BF,
+    with B from Fitt_0."""
     ideal = finite_fitting0(pres)
-    base = max(1, ideal.a0 + ideal.br + truncation_margin())
-
-    # each reading ranks mM first, then carries on with the columns
-    # themselves, which gives the rank of M
-
-    def value(n: int) -> int:
-        space = TruncationSpace(n)
-        pivots: dict[int, dict[int, Fraction]] = {}
-        shifted = _rank(_module_rows(pres, space, 1), pivots)
-        full = _rank(_module_rows(pres, space, 0, 0), pivots)
-        return full - shifted
-
-    def recheck(n: int) -> int:
-        space = TruncationSpace(n)
-        parent = list(range(space.dim + 1))
-        _incidence_rank(pres, space, 1, parent=parent)
-        return _incidence_rank(pres, space, 0, 0, parent)
-
-    return _rechecked(value, recheck, base, "minimal generator count")
+    _, shifted, full = _box_ranks(pres, ideal.a0, ideal.br)
+    return full - shifted
 
 
 def _poly_rows(polys: Sequence[Poly], space: TruncationSpace) -> Iterator[dict[int, Fraction]]:
@@ -326,9 +318,8 @@ def enumerate_complete(bound_a: int, bound_b: int) -> Iterator[MonomialIdeal]:
     componentwise sums stay within the bounds.  Each pair's simple closure is
     built once, and the walk carries the ideal down from the unit ideal: a
     child is its parent times one simple closure, so each ideal costs one
-    product.  The ideals
-    found are all kept, so the walk stops once they hold more than
-    `MAX_OUTPUT_SIZE` generators.
+    product.  The ideals found are all kept, so the walk stops once they hold
+    more than `MAX_OUTPUT_SIZE` generators.
     """
     if bound_a < 1 or bound_b < 1:
         raise ValueError("bounds must be >= 1")
@@ -336,20 +327,19 @@ def enumerate_complete(bound_a: int, bound_b: int) -> Iterator[MonomialIdeal]:
     simple = [simple_ideal(f) for f in pairs]
     found: list[MonomialIdeal] = []
     size = 0
-
-    def walk(start: int, ideal: MonomialIdeal, sum_p: int, sum_q: int):
-        nonlocal size
+    # depth first on an explicit stack of (first pair, ideal, sum_p, sum_q),
+    # children pushed in reverse so that they pop in pair order
+    stack = [(0, MonomialIdeal(((0, 0),)), 0, 0)]
+    while stack:
+        start, ideal, sum_p, sum_q = stack.pop()
         if sum_p:
             size += len(ideal.gens)
             within_budget("enumeration", size, "generators", MAX_OUTPUT_SIZE)
             found.append(ideal)
-        for i in range(start, len(pairs)):
+        for i in reversed(range(start, len(pairs))):
             f = pairs[i]
-            if sum_p + f.p > bound_a or sum_q + f.q > bound_b:
-                continue
-            walk(i, ideal.product(simple[i]), sum_p + f.p, sum_q + f.q)
-
-    walk(0, MonomialIdeal(((0, 0),)), 0, 0)
+            if sum_p + f.p <= bound_a and sum_q + f.q <= bound_b:
+                stack.append((i, ideal.product(simple[i]), sum_p + f.p, sum_q + f.q))
     found.sort(key=lambda ideal: (ideal.a0, ideal.br, ideal.gens))
     seen = set()
     for ideal in found:

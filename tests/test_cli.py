@@ -71,6 +71,12 @@ class TestModuleCommands:
         assert run(capsys, "module-mu", "(x^2, x*y, y^3)", "--k", "1")[1].strip() == "4"
         length = int(run(capsys, "module-length", "(x^2, x*y, y^3)", "--k", "1")[1])
         assert length > 0
+        # a wide ideal costs a box of 2 * 2001 * 3 positions, not a triangle
+        # of about 2000^2 monomials
+        start = time.perf_counter()
+        assert run(capsys, "module-mu", "(x^2000,x*y,y^2)", "--k", "1")[1:] == ("4\n", "")
+        assert run(capsys, "module-length", "(x^2000,x*y,y^2)", "--k", "1")[1:] == ("2000\n", "")
+        assert time.perf_counter() - start < 0.5
 
     def test_poly_colength(self, capsys):
         assert run(capsys, "poly-colength", "x^3, y^3, x+y")[1].strip() == "3"
@@ -274,8 +280,8 @@ class TestExitCodes:
         assert code == 0 and out.strip() == "(x^1000000, x*y, y^1000000)"
         code, out, err = run(capsys, "product", "m^999", "m^1000")
         assert code == 1 and out == "" and "budget" in err
-        code, out, err = run(capsys, "module-mu", "(x^2000,x*y,y^2)", "--k", "1")
-        assert code == 1 and out == "" and "budget" in err
+        code, out, err = run(capsys, "module-mu", "m^300", "--k", "1")
+        assert code == 1 and out == "" and "rows" in err and "budget" in err
         assert time.perf_counter() - start < 1.0
 
     def test_enumerate_size_budget(self, capsys, monkeypatch):

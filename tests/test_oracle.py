@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -26,14 +28,16 @@ from icmod import (
 )
 from icmod.errors import InternalInconsistency
 from icmod.oracle import (
-    TruncationSpace,
+    _box_ranks,
+    _box_row_count,
+    _box_rows,
     _incidence_rank,
-    _module_rows,
     _primitive_pairs,
     _rank,
     ideal_as_polys,
     truncation_margin,
 )
+from icmod.presentation import finite_fitting0
 from tests.conftest import brute_ideals
 
 STAIR_B = normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
@@ -75,24 +79,35 @@ class TestModuleOracles:
                 assert graded_min_gens(pres) == module_min_gens(pres), (ideal, k)
 
     def test_truncation_budget(self, monkeypatch):
-        # one past the real cap: a_0 + b_r = 999, and the re-check at 1000
-        # indexes 1000 * 1001 monomials of R^2
-        wide = build_Mk(normalize([(997, 0), (1, 1), (0, 2)]), 1)
+        # both counts are taken before any row is built: (x^200000, x*y, y^2)
+        # boxes 2 * 200001 * 3 positions, and m^300's 302 columns list
+        # 4,726,902 rows in a box of 181,202 positions
+        start = time.perf_counter()
+        wide = build_Mk(normalize([(200000, 0), (1, 1), (0, 2)]), 1)
+        dense = build_Mk(closure(normalize([(300, 0), (0, 300)])), 1)
         for oracle in (module_min_gens, module_colength):
-            with pytest.raises(SizeBudgetExceeded, match="1001000 index entries"):
+            with pytest.raises(SizeBudgetExceeded, match="1200006 index entries"):
                 oracle(wide)
-        # a_0 + b_r = 6, so the re-check at 7 indexes 7 * 8 monomials
-        pres = build_Mk(normalize([(4, 0), (1, 1), (0, 2)]), 1)
-        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 56)
-        assert module_min_gens(pres) == graded_min_gens(pres)
-        assert module_colength(pres) == graded_colength(pres)
-        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 55)
-        for oracle in (module_min_gens, module_colength):
-            with pytest.raises(SizeBudgetExceeded):
-                oracle(pres)
+            with pytest.raises(SizeBudgetExceeded, match="4726902 rows"):
+                oracle(dense)
+        assert time.perf_counter() - start < 0.5
+        # the exact edges, with the cap lowered: (x^4, x*y, y^2) at k = 1 lists
+        # 6 + 10 + 14 + 10 = 40 rows in a box of 2 * 5 * 3 = 30 positions, and
+        # e_0, y^3 e_1, x^3 e_1 list 16 + 4 + 4 = 24 rows in 32 positions
+        many_rows = build_Mk(normalize([(4, 0), (1, 1), (0, 2)]), 1)
+        many_positions = Presentation2((((0, 0), None), (None, (0, 3)), (None, (3, 0))))
+        for pres, count, unit in ((many_rows, 40, "rows"), (many_positions, 32, "index entries")):
+            monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", count)
+            assert module_min_gens(pres) == graded_min_gens(pres)
+            assert module_colength(pres) == graded_colength(pres)
+            monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", count - 1)
+            for oracle in (module_min_gens, module_colength):
+                with pytest.raises(SizeBudgetExceeded, match=f"{count} {unit}"):
+                    oracle(pres)
 
     def test_min_gens_truncates_at_a0_plus_br(self, full_enumeration):
-        # no margin past a_0 + b_r; checked at the largest degrees of (6,8)
+        # the box c <= a_0, d <= b_r, checked on the largest boxes of (6,8);
+        # the margin the benchmark reads is 0
         assert truncation_margin() == 0
         for ideal in sorted(full_enumeration, key=lambda i: i.a0 + i.br)[-5:]:
             for k in range(1, ideal.br):
@@ -100,26 +115,60 @@ class TestModuleOracles:
                 assert module_min_gens(pres) == graded_min_gens(pres), (ideal, k)
 
 
-def assert_kernels_agree(pres, n):
-    """The union-find rank equals the Fraction elimination's on the rows of
-    mM, of the columns carried on from mM, and of M, which those two span."""
-    space = TruncationSpace(n)
+def as_fraction_rows(rows, dim):
+    """The position pairs of `_box_rows` as `Fraction` rows, the ground left out."""
+    return [{i: Fraction(1) for i in row if i < dim} for row in rows]
+
+
+def box_rows_by_multiples(pres, a, b, shifted):
+    """Every monomial multiple x^c y^d of every column, with the entries that
+    fall outside the box c <= a, d <= b dropped, as sets of positions."""
+    width, block = a + 1, (a + 1) * (b + 1)
+    rows = []
+    for col in pres.cols:
+        for c in range(a + 1):
+            for d in range(b + 1):
+                if (c + d > 0) != shifted:
+                    continue
+                row = {
+                    coord * block + (e[1] + d) * width + e[0] + c
+                    for coord, e in enumerate(col)
+                    if e is not None and e[0] + c <= a and e[1] + d <= b
+                }
+                if row:
+                    rows.append(frozenset(row))
+    return sorted(rows, key=sorted)
+
+
+def assert_kernels_agree(pres, a, b):
+    """The union-find rank equals the Fraction elimination's on the box rows
+    of mM, of the columns carried on from mM, and of M, which those two span
+    (also ranked columns first), and `_box_ranks` reads the same ranks."""
+    dim = 2 * (a + 1) * (b + 1)
+    shifted_rows = list(_box_rows(pres, a, b, True))
+    unit_rows = list(_box_rows(pres, a, b, False))
     pivots = {}
-    shifted = _rank(_module_rows(pres, space, 1), pivots)
-    added = _rank(_module_rows(pres, space, 0, 0), pivots) - shifted
+    shifted = _rank(as_fraction_rows(shifted_rows, dim), pivots)
+    added = _rank(as_fraction_rows(unit_rows, dim), pivots) - shifted
     want = (shifted + added, shifted, added)
-    parent = list(range(space.dim + 1))
+    parent = list(range(dim + 1))
     got = (
-        _incidence_rank(pres, space, 0),
-        _incidence_rank(pres, space, 1, parent=parent),
-        _incidence_rank(pres, space, 0, 0, parent),
+        _incidence_rank(unit_rows + shifted_rows, list(range(dim + 1))),
+        _incidence_rank(shifted_rows, parent),
+        _incidence_rank(unit_rows, parent),
     )
-    assert got == want, (pres, n)
+    assert got == want, (pres, a, b)
+    assert _box_ranks(pres, a, b) == (dim, shifted, shifted + added), (pres, a, b)
+
+
+def assert_fitting_box_agrees(pres):
+    ideal = finite_fitting0(pres)
+    assert_kernels_agree(pres, ideal.a0, ideal.br)
 
 
 def random_presentation(rng):
     """Up to six columns of random monomials or blanks, some repeated; the
-    exponents reach past the truncations they are ranked in."""
+    exponents reach past the boxes they are ranked in."""
 
     def entry():
         return (rng.randint(0, 6), rng.randint(0, 6)) if rng.random() < 0.8 else None
@@ -137,32 +186,40 @@ class TestIncidenceRank:
     def test_matches_fraction_rank_over_6_8(self, full_enumeration):
         for ideal in full_enumeration:
             for k in range(1, ideal.br):
-                base = ideal.a0 + ideal.br
-                for n in (base, base + 1):
-                    assert_kernels_agree(build_Mk(ideal, k), n)
+                assert_fitting_box_agrees(build_Mk(ideal, k))
 
     def test_matches_fraction_rank_on_random_presentations(self):
         rng = random.Random(7)
         for _ in range(500):
             pres = random_presentation(rng)
-            base = rng.randint(1, 8)
-            for n in (base, base + 1):
-                assert_kernels_agree(pres, n)
+            assert_kernels_agree(pres, rng.randint(0, 7), rng.randint(0, 7))
 
     def test_matches_fraction_rank_on_split_modules(self):
         right = normalize([(2, 0), (1, 1), (0, 3)])
         for left in brute_ideals(3, 3):
-            base = max(left.a0 + left.br, right.a0 + right.br)
-            for n in (base, base + 1):
-                assert_kernels_agree(diagonal_presentation(left, right), n)
+            assert_fitting_box_agrees(diagonal_presentation(left, right))
+
+    def test_rows_are_the_multiples_left_in_the_box(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            pres = random_presentation(rng)
+            a, b = rng.randint(0, 7), rng.randint(0, 7)
+            dim = 2 * (a + 1) * (b + 1)
+            count = 0
+            for shifted in (True, False):
+                rows = as_fraction_rows(_box_rows(pres, a, b, shifted), dim)
+                got = sorted((frozenset(row) for row in rows), key=sorted)
+                assert got == box_rows_by_multiples(pres, a, b, shifted), (pres, a, b)
+                count += len(rows)
+            assert _box_row_count(pres, a, b) == count, (pres, a, b)
 
     def test_a_fault_in_either_reading_is_caught(self, monkeypatch):
         pres = build_Mk(STAIR_B, 3)
         rank, incidence_rank = _rank, _incidence_rank
 
         def fraction_off_by_one(rows, pivots=None):
-            # one more on the first elimination: the rank of M for the
-            # colength, the rank of mM for the generator count
+            # one more on the first elimination: the rank of mM, which both
+            # the generator count and the rank of M carried on from it read
             first = not pivots
             return rank(rows, pivots) + first
 
@@ -173,7 +230,7 @@ class TestIncidenceRank:
         for name, fault in faults.items():
             monkeypatch.setattr(f"icmod.oracle.{name}", fault)
             for oracle in (module_min_gens, module_colength):
-                with pytest.raises(InternalInconsistency, match="disagree"):
+                with pytest.raises(InternalInconsistency, match="Fraction.*union-find.*disagree"):
                     oracle(pres)
             monkeypatch.undo()
         assert module_min_gens(pres) == STAIR_B.r + 2
@@ -301,6 +358,16 @@ class TestEnumeration:
         for ideal in enumerate_complete(4, 4):
             assert is_complete(ideal)
             assert ideal.a0 <= 4 and ideal.br <= 4
+
+    def test_leaves_no_reference_cycles(self):
+        # with the collector off, the walk must free everything it built
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(list(enumerate_complete(8, 10))) == 1795
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
