@@ -4,8 +4,8 @@ indecomposable rank-2 modules attached to them.
 The core objects are staircase ideals (`MonomialIdeal`), their integral
 closures and Zariski factorizations (`newton`), the 2 x (r+2) presentation
 matrices M_k (`presentation`), a decision procedure with machine-checkable
-certificates (`engine`), and brute-force truncation oracles used to
-cross-check everything (`oracle`).  `__all__` is the public surface; the
+certificates (`engine`), and brute-force oracles used to cross-check
+everything (`oracle`).  `__all__` is the public surface; the
 README's Library section lists it by module.
 """
 

@@ -32,7 +32,7 @@ from .oracle import (
     poly_ideal_colength,
 )
 from .presentation import Presentation2, build_Mk, fitting0, fitting1, graded_min_gens
-from .render import render_svg
+from .render import svg_batches
 from .staircase import MonomialIdeal, normalize
 
 
@@ -196,10 +196,13 @@ def _cmd_enumerate(args):
 
 
 def _cmd_render(args):
-    ideal = parse_ideal(args.expr)
-    svg = render_svg(ideal)
+    batches = svg_batches(parse_ideal(args.expr))
+    # the first batch comes after every check, so a refused figure leaves no file
+    first = next(batches)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        fh.writelines(first)
+        for batch in batches:
+            fh.writelines(batch)
     _emit(args, {"out": args.out}, f"wrote {args.out}")
 
 

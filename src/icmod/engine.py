@@ -399,7 +399,7 @@ def _certify(
 
 
 def certificate_diff(cert: Certificate) -> list[str]:
-    """Re-run the decision with mu and the module length from the truncation
+    """Re-run the decision with mu and the module length from the module
     oracle; name every recorded field it does not reproduce (empty means valid).
 
     The decision takes both from the graded count, so a fault in either shows

@@ -22,7 +22,8 @@ class NonMonomialMinor(DomainError):
 
 
 class NotFiniteColength(DomainError):
-    """A truncation computation detected an ideal or module of infinite colength."""
+    """An ideal or module of infinite colength: a Fitt_0 that is not m-primary,
+    or polynomial generators whose truncations did not stabilize."""
 
 
 class InternalInconsistency(DomainError):

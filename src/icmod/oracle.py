@@ -42,22 +42,6 @@ def truncation_margin() -> int:
     return 0
 
 
-class TruncationSpace:
-    """Positions of the monomial basis vectors of rank coordinates, degree < n:
-    coordinate by coordinate, then by degree, then by x-exponent."""
-
-    def __init__(self, n: int, rank: int = 2):
-        if n < 1:
-            raise ValueError("truncation degree must be >= 1")
-        self.n = n
-        self.block = n * (n + 1) // 2
-        self.dim = rank * self.block
-
-    def index(self, coord: int, c: int, d: int) -> int | None:
-        t = c + d
-        return coord * self.block + t * (t + 1) // 2 + c if t < self.n else None
-
-
 def _rank(
     rows: Iterable[dict[int, Fraction]],
     pivots: dict[int, dict[int, Fraction]] | None = None,
@@ -221,19 +205,20 @@ def module_min_gens(pres: Presentation2) -> int:
     return full - shifted
 
 
-def _poly_rows(polys: Sequence[Poly], space: TruncationSpace) -> Iterator[dict[int, Fraction]]:
-    n = space.n
+def _poly_rows(polys: Sequence[Poly], n: int) -> Iterator[dict[int, Fraction]]:
+    """The monomial multiples of the generators in R / m^n, where x^c y^d of
+    degree t = c + d < n sits at t(t + 1)/2 + c."""
     for poly in polys:
         if not poly:
             continue
         low = min(a + b for _, a, b in poly)
         for deg in range(n - low):
             for c in range(deg + 1):
-                d = deg - c
                 row: dict[int, Fraction] = {}
                 for coef, a, b in poly:
-                    idx = space.index(0, a + c, b + d)
-                    if idx is not None:
+                    t = a + b + deg
+                    if t < n:
+                        idx = t * (t + 1) // 2 + a + c
                         row[idx] = row.get(idx, Fraction(0)) + coef
                 row = {i: v for i, v in row.items() if v}
                 if row:
@@ -249,8 +234,9 @@ def poly_ideal_colength(gens: Sequence[Poly]) -> int:
     The truncation degree grows until two truncations in a row agree, up to
     degree 64.  When single-term generators include x^a and y^b, m^(a+b-1)
     lies in the ideal, so the truncation at a + b - 1 is exact and the search
-    stops there; it indexes n(n+1)/2 monomials at degree n, refused above
-    `MAX_OUTPUT_SIZE` before any elimination.
+    stops there.  Each truncation R / m^n indexes n(n+1)/2 monomials and
+    lists (n - low)(n - low + 1)/2 rows for a generator of least degree low;
+    both counts are refused above `MAX_OUTPUT_SIZE` before any elimination.
     """
     if not gens or all(not g for g in gens):
         raise NotFiniteColength("no generators")
@@ -258,10 +244,14 @@ def poly_ideal_colength(gens: Sequence[Poly]) -> int:
     x_power = min((a for a, b in monomials if b == 0), default=None)
     y_power = min((b for a, b in monomials if a == 0), default=None)
     exact = None if x_power is None or y_power is None else max(1, x_power + y_power - 1)
+    lows = [min(a + b for _, a, b in g) for g in gens if g]
 
     def value(n: int) -> int:
-        space = TruncationSpace(n, rank=1)
-        return space.dim - _rank(_poly_rows(gens, space))
+        dim = n * (n + 1) // 2
+        within_budget("truncation", dim, "index entries", MAX_OUTPUT_SIZE)
+        rows = sum((n - low) * (n - low + 1) // 2 for low in lows if low < n)
+        within_budget("truncation", rows, "rows", MAX_OUTPUT_SIZE)
+        return dim - _rank(_poly_rows(gens, n))
 
     n = max(a + b for g in gens for _, a, b in g) + 2
     while n <= _POLY_TRUNCATION_CAP and (exact is None or n < exact):
@@ -273,7 +263,6 @@ def poly_ideal_colength(gens: Sequence[Poly]) -> int:
         raise NotFiniteColength(
             f"colength did not stabilize below truncation degree {_POLY_TRUNCATION_CAP}"
         )
-    within_budget("truncation", exact * (exact + 1) // 2, "index entries", MAX_OUTPUT_SIZE)
     return value(exact)
 
 

@@ -101,10 +101,9 @@ def ell_value(ideal: MonomialIdeal, k: int) -> int:
     return min(ideal.bvec[-2], k, br - k)
 
 
-def _graded_columns(
-    pres: Presentation2,
-) -> tuple[MonomialIdeal, Monomial, list[tuple[Monomial, int]]]:
-    """Fitt_0, the shift s and each column's (degree, support) in the grading.
+def _graded_columns(pres: Presentation2) -> tuple[Monomial, list[tuple[Monomial, int]]]:
+    """The shift s and each column's (degree, support) in the grading, once
+    `finite_fitting0` has checked that R^2 / M has finite length.
 
     The grading is deg e_0 = (0, 0), deg e_1 = s, with s = top - bottom of a
     two-entry column ((0, 0) if there is none), so every column is
@@ -115,7 +114,7 @@ def _graded_columns(
     is no fallback for presentations without a consistent grading.
     Support is a bitmask: 1 = top row only, 2 = bottom only, 3 = both.
     """
-    ideal = finite_fitting0(pres)
+    finite_fitting0(pres)
     s = next(
         ((t[0] - b[0], t[1] - b[1]) for t, b in pres.cols if t is not None and b is not None),
         (0, 0),
@@ -126,7 +125,7 @@ def _graded_columns(
             cols.append((top, 1))
         else:
             cols.append(((bot[0] + s[0], bot[1] + s[1]), 2 if top is None else 3))
-    return ideal, s, cols
+    return s, cols
 
 
 def _graded_rank(cols: list[tuple[Monomial, int]], deg: Monomial, below: bool = False) -> int:
@@ -144,37 +143,26 @@ def _graded_rank(cols: list[tuple[Monomial, int]], deg: Monomial, below: bool = 
 
 
 def graded_colength(pres: Presentation2) -> int:
-    """Length of R^2 / M as a sum of exact graded ranks, no truncation.
+    """Length of R^2 / M from the exact sequence of the projection p_0 onto
+    e_0, with K the kernel of p_0 on M, the part of M in R e_1,
 
-    x^a_0 and y^b_r lie in Fitt_0, which annihilates R^2 / M, so the quotient
-    vanishes outside the box [0, a_0) x [0, b_r) and its translate by s.  A
-    sweep by ascending u over the strips between 0, a_0, their shifts by s_0
-    and the column degrees keeps each support kind's least b among the
-    columns with a <= u; the rank at row v is min(2, how many are <= v).
-    Those b and the rows 0, b_r and their shifts by s_1 cut each strip into
-    cells on which the box, dim R^2 and the rank are constant, and each cell
-    adds its area times dim - rank: O(r log r) work, whatever a_0 and b_r.
+        0 -> R e_1 / K -> R^2 / M -> R / p_0(M) -> 0,
+
+    so it is the sum of two staircase colengths, with no truncation.  p_0(M)
+    is the ideal of the top entries.  K is monomial: in each degree D the
+    column multiples are e_0 (top only), e_1 (bottom only) or e_0 + e_1
+    (both), so e_1 lies in M_D when a bottom-only column, or a top-only and a
+    two-entry column, reach D.  K is generated by the bottom entries of the
+    bottom-only columns and lcm(t - s, b') for each top-only t and two-entry
+    (t', b'); in degrees, lcm(t, t') less s.  Fitt_0 lies in both ideals, so
+    both staircases are m-primary.
     """
-    ideal, s, cols = _graded_columns(pres)
-    boxes = ((0, 0), s)
-    us = sorted({d + c for d in (0, s[0]) for c in (0, ideal.a0)} | {a for (a, _), _ in cols})
-    rows = {d + c for d in (0, s[1]) for c in (0, ideal.br)}
-    by_a = sorted(cols)
-    least_b: dict[int, int] = {}
-    nxt = 0
-    total = 0
-    for u, u_end in zip(us, us[1:]):
-        while nxt < len(by_a) and by_a[nxt][0][0] <= u:
-            (_, b), kind = by_a[nxt]
-            least_b[kind] = min(b, least_b.get(kind, b))
-            nxt += 1
-        vs = sorted(rows | set(least_b.values()))
-        for v, v_end in zip(vs, vs[1:]):
-            if any(du <= u < du + ideal.a0 and dv <= v < dv + ideal.br for du, dv in boxes):
-                dim = (u >= 0 and v >= 0) + (u >= s[0] and v >= s[1])
-                rank = min(2, sum(b <= v for b in least_b.values()))
-                total += (u_end - u) * (v_end - v) * (dim - rank)
-    return total
+    s, cols = _graded_columns(pres)
+    both = [deg for deg, kind in cols if kind == 3]
+    kernel = [deg for deg, kind in cols if kind == 2]
+    kernel += [(max(a, c), max(b, d)) for (a, b), kind in cols if kind == 1 for c, d in both]
+    tops = normalize(deg for deg, kind in cols if kind != 2)
+    return tops.colength() + normalize((a - s[0], b - s[1]) for a, b in kernel).colength()
 
 
 def graded_min_gens(pres: Presentation2) -> int:
@@ -183,7 +171,7 @@ def graded_min_gens(pres: Presentation2) -> int:
     (mM)_D is spanned by the multiples of the columns of degree < D, so
     dim (M / mM)_D = rank M_D - rank(columns of degree < D).
     """
-    _, _, cols = _graded_columns(pres)
+    _, cols = _graded_columns(pres)
     return sum(
         _graded_rank(cols, deg) - _graded_rank(cols, deg, below=True)
         for deg in {deg for deg, _ in cols}

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
-from icmod import format_ideal
+from icmod import format_ideal, parse_ideal, render_svg
 from icmod.cli import main
 from icmod.expr import format_monomial
 
@@ -212,6 +213,23 @@ class TestOtherCommands:
         run(capsys, "render", STAIR_A_SRC, "--out", str(out_file))
         assert out_file.read_bytes() == first
         assert first.startswith(b"<svg ")
+
+    def test_render_streams_the_figure(self, capsys, tmp_path):
+        # the file holds render_svg's string byte for byte, written a batch of
+        # lines at a time: the 2.45 MB figure of (x^30000, y) peaked at 6.9 MB
+        # when it was built whole, and now at about 80 kB, as a ten times larger
+        # one does
+        out_file = tmp_path / "fig.svg"
+        for src in (STAIR_A_SRC, "(x^30000, y)"):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "render", src, "--out", str(out_file))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert out_file.read_bytes() == render_svg(parse_ideal(src)).encode()
+        assert peak < out_file.stat().st_size // 10
 
     def test_render_unit_ideal_is_a_domain_error(self, capsys, tmp_path):
         out_file = tmp_path / "fig.svg"

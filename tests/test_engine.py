@@ -313,8 +313,8 @@ class TestCertificates:
         assert forged > 3000
 
     def test_verifier_catches_a_faulty_graded_count(self, monkeypatch):
-        # the verifier re-runs the decision with the truncation oracle in place
-        # of the graded count, so a fault in the count is a disagreement
+        # the verifier re-runs the decision with the module oracle in place of
+        # the graded count, so a fault in the count is a disagreement
         from icmod import engine
 
         ideal = M ** 3

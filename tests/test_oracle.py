@@ -273,6 +273,25 @@ class TestPolynomialColength:
             poly_ideal_colength([[(1, 2000, 0)], [(1, 0, 2000)]])
         assert time.perf_counter() - start < 0.1
 
+    def test_truncation_rows_budget(self, monkeypatch):
+        # m^n given as its n + 1 monomials is exact at degree 2n - 1, where each
+        # lists n(n - 1)/2 rows: 1,687,425 in all for m^150, which was eliminated
+        # for seconds before the count, and 13,499,850 for m^300, both in fewer
+        # positions than the cap
+        start = time.perf_counter()
+        for n, rows in ((150, 1687425), (300, 13499850)):
+            with pytest.raises(SizeBudgetExceeded, match=f"{rows} rows"):
+                poly_ideal_colength([[(1, n - i, i)] for i in range(n + 1)])
+        assert time.perf_counter() - start < 0.5
+        # the exact edge, with the cap lowered: x^3, y^3, 1 + x, 1 - y at degree 5
+        # list 3 + 3 + 15 + 15 = 36 rows in 15 positions
+        polys = [[(1, 3, 0)], [(1, 0, 3)], [(1, 0, 0), (1, 1, 0)], [(1, 0, 0), (-1, 0, 1)]]
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 36)
+        assert poly_ideal_colength(polys) == 0
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 35)
+        with pytest.raises(SizeBudgetExceeded, match="36 rows"):
+            poly_ideal_colength(polys)
+
 
 class TestClosureOracle:
     def test_agrees_with_polygon_on_random_ideals(self):

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -148,7 +149,8 @@ def graded_colength_by_points(pres: Presentation2) -> int:
     """Reference length of R^2 / M, one degree at a time over the box
     [0, a_0) x [0, b_r) and its translate by s.  O(a_0 * b_r * r), so only
     for tests."""
-    ideal, s, cols = _graded_columns(pres)
+    ideal = fitting0(pres)
+    s, cols = _graded_columns(pres)
     box = {
         (u + du, v + dv)
         for du, dv in ((0, 0), s)
@@ -160,6 +162,37 @@ def graded_colength_by_points(pres: Presentation2) -> int:
         dim = (u >= 0 and v >= 0) + (u >= s[0] and v >= s[1])
         total += dim - _graded_rank(cols, (u, v))
     return total
+
+
+def random_graded_presentations(seed: int, count: int) -> list[Presentation2]:
+    """Presentations with one shift s, two to four two-entry columns (b + s, b),
+    one to three top-only and up to two bottom-only columns, of finite
+    colength.  Two thirds of the entries keep one exponent at its least value,
+    so that many Fitt_0 are m-primary; the others are skipped."""
+    rng = random.Random(seed)
+
+    def entry(low: tuple[int, int] = (0, 0)) -> tuple[int, int]:
+        u, v = low[0] + rng.randint(0, 4), low[1] + rng.randint(0, 4)
+        kind = rng.randrange(3)
+        return (u, low[1]) if kind == 0 else (low[0], v) if kind == 1 else (u, v)
+
+    found: list[Presentation2] = []
+    while len(found) < count:
+        s = (rng.randint(-3, 3), rng.randint(-3, 3))
+        cols = []
+        for _ in range(rng.randint(2, 4)):
+            b = entry((max(0, -s[0]), max(0, -s[1])))
+            cols.append(((b[0] + s[0], b[1] + s[1]), b))
+        cols += [(entry(), None) for _ in range(rng.randint(1, 3))]
+        cols += [(None, entry()) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(cols)
+        pres = Presentation2(tuple(cols))
+        try:
+            fitting0(pres)
+        except NotMPrimary:
+            continue
+        found.append(pres)
+    return found
 
 
 class TestGradedInvariants:
@@ -185,12 +218,21 @@ class TestGradedInvariants:
 
     def test_colength_with_redundant_columns(self):
         # (2, 3) and (3, 2) are multiples of earlier columns of the same support,
-        # so a strip's least b is not the b of its last column
+        # so they are no minimal generators of the top ideal or of the e_1 part
         cols = [((2, 0), None), ((1, 1), None), ((0, 3), None), ((2, 3), None)]
         cols += [(None, (3, 0)), (None, (0, 2)), (None, (3, 2))]
         pres = Presentation2(tuple(cols))
         assert graded_colength(pres) == graded_colength_by_points(pres) == 4 + 6
         assert graded_colength(pres) == module_colength(pres)
+
+    def test_lcm_term_on_random_presentations(self):
+        # the e_1 part of M gets lcm(t - s, b') from each top-only t and two-entry
+        # (t', b'); M_k has only one two-entry column, so random ones with several
+        # reach the term in more ways
+        for pres in random_graded_presentations(13, 150):
+            length = graded_colength(pres)
+            assert length == graded_colength_by_points(pres) == module_colength(pres), pres
+            assert graded_min_gens(pres) == module_min_gens(pres), pres
 
     def test_colength_is_fast_at_large_r(self):
         # 402 columns: a cell sum over every column pair took 1.0 s (Python 3.11, 2 vCPU VM)
