@@ -6,12 +6,13 @@ M (Eisenbud, GTM 150, Prop. 20.7), and x^a_0, y^b_r lie in I, so B =
 (x^(a_0+1), y^(b_r+1)) gives BF in mIF, in mM, in M.  F/BF is the box of the
 monomials x^c y^d, c <= a_0, d <= b_r, in each coordinate, and there
 dim M/mM = rank(M) - rank(mM) and length(F/M) = dim(F/BF) - rank(M).  The
-rows are the monomial multiples of the columns reduced mod BF, and two
-kernels rank the same rows: exact rational Gaussian elimination, and an
-integer union-find, since the rows are the incidence rows of a graph
-(Godsil-Royle, GTM 207, Sec. 8.2).  They share no elimination, so a fault in
-either shows as a disagreement.  Lengths of polynomial ideals are ranks over
-truncations R / m^N.
+rows are the monomial multiples of the columns reduced mod BF, with entries
+1, and two kernels rank the same rows: exact rational Gaussian elimination,
+which keeps them integers until a pivot's lead is not 1, and an integer
+union-find, since the rows are the incidence rows of a graph (Godsil-Royle,
+GTM 207, Sec. 8.2).  They share no elimination, so a fault in either shows as
+a disagreement.  Lengths of polynomial ideals are ranks over truncations
+R / m^N.
 
 The integral-closure oracle here deliberately avoids the Newton polygon: it
 tests membership of powers m^n in I^n, which is what the closure machinery is
@@ -43,10 +44,13 @@ def truncation_margin() -> int:
 
 
 def _rank(
-    rows: Iterable[dict[int, Fraction]],
-    pivots: dict[int, dict[int, Fraction]] | None = None,
+    rows: Iterable[dict[int, int | Fraction]],
+    pivots: dict[int, dict[int, int | Fraction]] | None = None,
 ) -> int:
-    """Rank of a sparse row collection by fraction-free-ish elimination.
+    """Rank over Q of sparse rows of `int` or `Fraction` entries, by exact
+    elimination.  Each pivot is scaled to lead 1, so integer rows stay
+    integers until a pivot's lead is not 1, and only that pivot becomes
+    `Fraction`s.
 
     Given `pivots` from an earlier call, elimination continues on them and
     the result is the rank of the earlier rows and `rows` together.
@@ -170,23 +174,20 @@ def _box_ranks(pres: Presentation2, a: int, b: int) -> tuple[int, int, int]:
     dim = 2 * (a + 1) * (b + 1)
     within_budget("module oracle box", dim, "index entries", MAX_OUTPUT_SIZE)
     within_budget("module oracle box", _box_row_count(pres, a, b), "rows", MAX_OUTPUT_SIZE)
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int | Fraction]] = {}
     parent = list(range(dim + 1))
     incidence = 0
     ranks = []
     for shifted in (True, False):
-        rows = (
-            {i: Fraction(1), j: Fraction(1)} if j < dim else {i: Fraction(1)}
-            for i, j in _box_rows(pres, a, b, shifted)
-        )
-        fraction = _rank(rows, pivots)
+        rows = ({i: 1, j: 1} if j < dim else {i: 1} for i, j in _box_rows(pres, a, b, shifted))
+        rational = _rank(rows, pivots)
         incidence += _incidence_rank(_box_rows(pres, a, b, shifted), parent)
-        if fraction != incidence:
+        if rational != incidence:
             raise InternalInconsistency(
-                f"module oracle: the Fraction elimination ranks {'mM' if shifted else 'M'}"
-                f" at {fraction} and the union-find at {incidence}; the two kernels disagree"
+                f"module oracle: the rational elimination ranks {'mM' if shifted else 'M'}"
+                f" at {rational} and the union-find at {incidence}; the two kernels disagree"
             )
-        ranks.append(fraction)
+        ranks.append(rational)
     return dim, ranks[0], ranks[1]
 
 
@@ -231,10 +232,11 @@ _POLY_TRUNCATION_CAP = 64
 def poly_ideal_colength(gens: Sequence[Poly]) -> int:
     """Length of R / (gens) for sparse polynomial generators, e.g. with x+y.
 
-    The truncation degree grows until two truncations in a row agree, up to
-    degree 64.  When single-term generators include x^a and y^b, m^(a+b-1)
-    lies in the ideal, so the truncation at a + b - 1 is exact and the search
-    stops there.  Each truncation R / m^n indexes n(n+1)/2 monomials and
+    The truncation degree grows until two truncations in a row agree (then
+    m^n lies in the ideal by Nakayama), up to degree 64.  When single-term
+    generators include x^a and y^b, m^(a+b-1) lies in the ideal, so the
+    truncation at a + b - 1 is exact: the search runs past 64 and stops
+    there.  Each truncation R / m^n indexes n(n+1)/2 monomials and
     lists (n - low)(n - low + 1)/2 rows for a generator of least degree low;
     both counts are refused above `MAX_OUTPUT_SIZE` before any elimination.
     """
@@ -254,7 +256,7 @@ def poly_ideal_colength(gens: Sequence[Poly]) -> int:
         return dim - _rank(_poly_rows(gens, n))
 
     n = max(a + b for g in gens for _, a, b in g) + 2
-    while n <= _POLY_TRUNCATION_CAP and (exact is None or n < exact):
+    while n < exact if exact is not None else n <= _POLY_TRUNCATION_CAP:
         got = value(n)
         if got == value(n + 1):
             return got

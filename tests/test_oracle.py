@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import time
@@ -115,9 +116,10 @@ class TestModuleOracles:
                 assert module_min_gens(pres) == graded_min_gens(pres), (ideal, k)
 
 
-def as_fraction_rows(rows, dim):
-    """The position pairs of `_box_rows` as `Fraction` rows, the ground left out."""
-    return [{i: Fraction(1) for i in row if i < dim} for row in rows]
+def as_rows(rows, dim, one):
+    """The position pairs of `_box_rows` as rows of entries `one`, the ground
+    left out."""
+    return [{i: one for i in row if i < dim} for row in rows]
 
 
 def box_rows_by_multiples(pres, a, b, shifted):
@@ -141,16 +143,21 @@ def box_rows_by_multiples(pres, a, b, shifted):
 
 
 def assert_kernels_agree(pres, a, b):
-    """The union-find rank equals the Fraction elimination's on the box rows
-    of mM, of the columns carried on from mM, and of M, which those two span
-    (also ranked columns first), and `_box_ranks` reads the same ranks."""
+    """The union-find rank equals the rational elimination's, on the box rows
+    as `Fraction(1)` rows and as integer rows alike, on the rows of mM, of the
+    columns carried on from mM, and of M, which those two span (also ranked
+    columns first), and `_box_ranks` reads the same ranks."""
     dim = 2 * (a + 1) * (b + 1)
     shifted_rows = list(_box_rows(pres, a, b, True))
     unit_rows = list(_box_rows(pres, a, b, False))
-    pivots = {}
-    shifted = _rank(as_fraction_rows(shifted_rows, dim), pivots)
-    added = _rank(as_fraction_rows(unit_rows, dim), pivots) - shifted
-    want = (shifted + added, shifted, added)
+    readings = set()
+    for one in (Fraction(1), 1):
+        pivots = {}
+        shifted = _rank(as_rows(shifted_rows, dim, one), pivots)
+        added = _rank(as_rows(unit_rows, dim, one), pivots) - shifted
+        readings.add((shifted + added, shifted, added))
+    assert len(readings) == 1, (pres, a, b, readings)
+    want = readings.pop()
     parent = list(range(dim + 1))
     got = (
         _incidence_rank(unit_rows + shifted_rows, list(range(dim + 1))),
@@ -158,7 +165,7 @@ def assert_kernels_agree(pres, a, b):
         _incidence_rank(unit_rows, parent),
     )
     assert got == want, (pres, a, b)
-    assert _box_ranks(pres, a, b) == (dim, shifted, shifted + added), (pres, a, b)
+    assert _box_ranks(pres, a, b) == (dim, want[1], want[0]), (pres, a, b)
 
 
 def assert_fitting_box_agrees(pres):
@@ -207,7 +214,7 @@ class TestIncidenceRank:
             dim = 2 * (a + 1) * (b + 1)
             count = 0
             for shifted in (True, False):
-                rows = as_fraction_rows(_box_rows(pres, a, b, shifted), dim)
+                rows = as_rows(_box_rows(pres, a, b, shifted), dim, 1)
                 got = sorted((frozenset(row) for row in rows), key=sorted)
                 assert got == box_rows_by_multiples(pres, a, b, shifted), (pres, a, b)
                 count += len(rows)
@@ -230,10 +237,59 @@ class TestIncidenceRank:
         for name, fault in faults.items():
             monkeypatch.setattr(f"icmod.oracle.{name}", fault)
             for oracle in (module_min_gens, module_colength):
-                with pytest.raises(InternalInconsistency, match="Fraction.*union-find.*disagree"):
+                disagree = "rational elimination.*union-find.*disagree"
+                with pytest.raises(InternalInconsistency, match=disagree):
                     oracle(pres)
             monkeypatch.undo()
         assert module_min_gens(pres) == STAIR_B.r + 2
+
+
+def rank_by_minors(matrix):
+    """The order of the largest nonzero minor, each determinant expanded over
+    the permutations: a reference that eliminates nothing."""
+    height, width = len(matrix), len(matrix[0])
+    for k in range(min(height, width), 0, -1):
+        for rows in itertools.combinations(range(height), k):
+            for cols in itertools.combinations(range(width), k):
+                det = 0
+                for perm in itertools.permutations(range(k)):
+                    inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+                    det += (-1) ** inversions * math.prod(
+                        matrix[r][cols[p]] for r, p in zip(rows, perm)
+                    )
+                if det:
+                    return k
+    return 0
+
+
+class TestRank:
+    def test_integer_rows_match_fraction_rows_and_minors(self):
+        # small random integer matrices whose leads, the entries at the last
+        # nonzero column, include 2, -1 and 3, with negative entries and rows
+        # repeated or combined from two others
+        rng = random.Random(14)
+        entries = (0, 0, 0, 1, 1, -1, 2, 3, -2)
+        for _ in range(300):
+            width = rng.randint(1, 5)
+            matrix = [
+                [rng.choice(entries) for _ in range(width)] for _ in range(rng.randint(1, 4))
+            ]
+            for _ in range(rng.randint(0, 2)):
+                r, s = rng.choice(matrix), rng.choice(matrix)
+                if rng.random() < 0.5:
+                    matrix.append(list(r))
+                else:
+                    u, v = rng.choice((1, -1, 2, 3)), rng.choice((1, -2, 3))
+                    matrix.append([u * x + v * y for x, y in zip(r, s)])
+            rng.shuffle(matrix)
+            ints = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+            fractions = [{c: Fraction(v) for c, v in row.items()} for row in ints]
+            want = rank_by_minors(matrix)
+            assert _rank(ints) == _rank(fractions) == want, matrix
+            # carried on from the pivots of a first part, as `_box_ranks` does
+            pivots = {}
+            _rank(ints[:2], pivots)
+            assert _rank(ints[2:], pivots) == want, matrix
 
 
 class TestPolynomialColength:
@@ -274,14 +330,17 @@ class TestPolynomialColength:
         assert time.perf_counter() - start < 0.1
 
     def test_truncation_rows_budget(self, monkeypatch):
-        # m^n given as its n + 1 monomials is exact at degree 2n - 1, where each
-        # lists n(n - 1)/2 rows: 1,687,425 in all for m^150, which was eliminated
-        # for seconds before the count, and 13,499,850 for m^300, both in fewer
-        # positions than the cap
+        # m^n given as its n + 1 monomials is exact at degree 2n - 1, where it
+        # lists 1,687,425 rows for m^150 and 13,499,850 for m^300, but the
+        # search past degree 64 stops at n + 2, whose truncations agree
         start = time.perf_counter()
-        for n, rows in ((150, 1687425), (300, 13499850)):
-            with pytest.raises(SizeBudgetExceeded, match=f"{rows} rows"):
-                poly_ideal_colength([[(1, n - i, i)] for i in range(n + 1)])
+        for n in (150, 300):
+            polys = [[(1, n - i, i)] for i in range(n + 1)]
+            assert poly_ideal_colength(polys) == n * (n + 1) // 2
+        # x, x, y^1413 start at the exact degree 1413, whose 998,991 positions
+        # fit and whose 2 * 997,578 rows do not
+        with pytest.raises(SizeBudgetExceeded, match="1995156 rows"):
+            poly_ideal_colength([[(1, 1, 0)], [(1, 1, 0)], [(1, 0, 1413)]])
         assert time.perf_counter() - start < 0.5
         # the exact edge, with the cap lowered: x^3, y^3, 1 + x, 1 - y at degree 5
         # list 3 + 3 + 15 + 15 = 36 rows in 15 positions
