@@ -199,7 +199,12 @@ def _cmd_render(args):
     batches = svg_batches(parse_ideal(args.expr))
     # the first batch comes after every check, so a refused figure leaves no file
     first = next(batches)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {args.out}: {exc.strerror}\n")
+        raise SystemExit(2) from None
+    with fh:
         fh.writelines(first)
         for batch in batches:
             fh.writelines(batch)

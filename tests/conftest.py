@@ -47,3 +47,8 @@ def small_complete():
 @pytest.fixture(scope="session")
 def full_enumeration():
     return list(enumerate_complete(6, 8))
+
+
+@pytest.fixture(scope="session")
+def enumeration_8_10():
+    return list(enumerate_complete(8, 10))

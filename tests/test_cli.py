@@ -320,6 +320,17 @@ class TestExitCodes:
             main(["construct", "(x,y^2)"])  # missing --k
         assert info.value.code == 2
 
+    def test_unwritable_render_path_is_a_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-dir" / "f.svg"
+        for out, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+            with pytest.raises(SystemExit) as info:
+                main(["render", "(x^2,y^3)", "--out", str(out)])
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert not missing.parent.exists() and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("bounds", [("0", "1"), ("1", "0"), ("-2", "3"), ("two", "3")])
     def test_enumerate_bounds_must_be_positive(self, bounds):
         with pytest.raises(SystemExit) as info:

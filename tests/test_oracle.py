@@ -14,6 +14,8 @@ from icmod import (
     Presentation2,
     SizeBudgetExceeded,
     build_Mk,
+    certificate_diff,
+    choose_k,
     closure,
     closure_power_oracle,
     enumerate_complete,
@@ -26,8 +28,8 @@ from icmod import (
     poly_ideal_colength,
     reconstruct,
     simple_ideal,
+    verify_certificate,
 )
-from icmod.errors import InternalInconsistency
 from icmod.oracle import (
     _box_ranks,
     _box_row_count,
@@ -220,28 +222,28 @@ class TestIncidenceRank:
                 count += len(rows)
             assert _box_row_count(pres, a, b) == count, (pres, a, b)
 
-    def test_a_fault_in_either_reading_is_caught(self, monkeypatch):
-        pres = build_Mk(STAIR_B, 3)
-        rank, incidence_rank = _rank, _incidence_rank
-
-        def fraction_off_by_one(rows, pivots=None):
-            # one more on the first elimination: the rank of mM, which both
-            # the generator count and the rank of M carried on from it read
-            first = not pivots
-            return rank(rows, pivots) + first
+    def test_a_union_find_fault_is_caught(self, monkeypatch, full_enumeration):
+        # the oracle ranks its box with the union-find alone; an off-by-one
+        # there is caught by the verifier, which compares the oracle's mu with
+        # the graded count, and by the rational reference of these tests
+        certs = [
+            choose_k(ideal)
+            for ideal in full_enumeration
+            if ideal.order() > 2 or (ideal.order() == 2 and not ideal.member((1, 1)))
+        ]
+        assert len(certs) == 327 and all(verify_certificate(c) for c in certs)
 
         def incidence_off_by_one(*args, **kwargs):
-            return incidence_rank(*args, **kwargs) + 1
+            return _incidence_rank(*args, **kwargs) + 1
 
-        faults = {"_rank": fraction_off_by_one, "_incidence_rank": incidence_off_by_one}
-        for name, fault in faults.items():
-            monkeypatch.setattr(f"icmod.oracle.{name}", fault)
-            for oracle in (module_min_gens, module_colength):
-                disagree = "rational elimination.*union-find.*disagree"
-                with pytest.raises(InternalInconsistency, match=disagree):
-                    oracle(pres)
-            monkeypatch.undo()
-        assert module_min_gens(pres) == STAIR_B.r + 2
+        monkeypatch.setattr("icmod.oracle._incidence_rank", incidence_off_by_one)
+        for cert in certs:
+            assert not verify_certificate(cert), cert.input
+            assert "checks mismatch: min_gens_equals_r_plus_2" in certificate_diff(cert)
+        with pytest.raises(AssertionError):
+            assert_fitting_box_agrees(build_Mk(STAIR_B, 3))
+        monkeypatch.undo()
+        assert module_min_gens(build_Mk(STAIR_B, 3)) == STAIR_B.r + 2
 
 
 def rank_by_minors(matrix):
@@ -286,7 +288,7 @@ class TestRank:
             fractions = [{c: Fraction(v) for c, v in row.items()} for row in ints]
             want = rank_by_minors(matrix)
             assert _rank(ints) == _rank(fractions) == want, matrix
-            # carried on from the pivots of a first part, as `_box_ranks` does
+            # carried on from the pivots of a first part, as `assert_kernels_agree` does
             pivots = {}
             _rank(ints[:2], pivots)
             assert _rank(ints[2:], pivots) == want, matrix

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import icmod
+from bench import spans
 from icmod.cli import build_parser
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -41,3 +42,26 @@ def test_subcommands_are_the_readme_list():
         if isinstance(action, argparse._SubParsersAction)
     )
     assert sorted(re.findall(r"`([\w-]+)`", listed)) == sorted(subparsers.choices)
+
+
+def traced_owner(target: str) -> tuple[object, str]:
+    """'staircase.MonomialIdeal.product' -> (MonomialIdeal, 'product')."""
+    module, *path = target.split(".")
+    owner = importlib.import_module(f"icmod.{module}")
+    for part in path[:-1]:
+        owner = getattr(owner, part)
+    return owner, path[-1]
+
+
+def test_every_traced_target_is_bound():
+    # the benchmark's tracer wraps each target by name, so a renamed or
+    # deleted target, or the `truncation_margin` it reads, fails here
+    originals = {target: getattr(*traced_owner(target)) for target in spans.TARGETS}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        unbound = [t for t in spans.TARGETS if getattr(*traced_owner(t)) is originals[t]]
+    finally:
+        tracer.uninstall()
+    assert unbound == []
+    assert all(getattr(*traced_owner(t)) is originals[t] for t in spans.TARGETS)
