@@ -1,7 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 on domain errors (bad ideals, failed
-preconditions, syntax errors in expressions), 2 on usage errors.
+preconditions, syntax errors in expressions) and when the reader of the
+output closes it early (a broken pipe; nothing is printed on stderr), 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any
 
@@ -332,8 +335,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.handler(args)
+        sys.stdout.flush()
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except BrokenPipeError:  # the reader left; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 

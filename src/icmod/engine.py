@@ -168,11 +168,8 @@ def _classify(ideal: MonomialIdeal, factorization: Factorization | None) -> Clas
     assert factorization is not None
     if all(f.order > 1 for f, _ in factorization.factors):
         return Classification(Branch.NO_ORDER1_FACTOR)
-    missing = [
-        ell
-        for ell in range(1, r)
-        if factorization.multiplicity(SimpleFactor(1, ell)) < 1
-    ]
+    counts = factorization.as_dict()
+    missing = [ell for ell in range(1, r) if counts.get(SimpleFactor(1, ell), 0) < 1]
     if missing:
         k0 = missing[0]
         if _condition_fk(ideal, k0):
@@ -255,7 +252,8 @@ def _indecomposability_checks(
     matrix: Presentation2,
     factorization: Factorization,
     k: int,
-    colength: Callable[[Presentation2], int],
+    fit0: MonomialIdeal,
+    colength: Callable[[Presentation2, MonomialIdeal], int],
 ) -> list[tuple[str, bool]]:
     """The clause chain of the splitting obstruction, as named checks."""
     checks: list[tuple[str, bool]] = []
@@ -273,7 +271,7 @@ def _indecomposability_checks(
     if factorization.multiplicity(SimpleFactor(1, ell)) < 1:
         checks.append((f"(x,y^{ell})_not_a_factor", True))
         return checks
-    ok = colength(matrix) != _split_length(factorization, ell)
+    ok = colength(matrix, fit0) != _split_length(factorization, ell)
     checks.append(("length_refutes_splitting", ok))
     return checks
 
@@ -317,10 +315,11 @@ def _decide(
     ideal: MonomialIdeal,
     forced_k: int | None,
     close_first: bool,
-    min_gens: Callable[[Presentation2], int],
-    colength: Callable[[Presentation2], int],
+    min_gens: Callable[[Presentation2, MonomialIdeal], int],
+    colength: Callable[[Presentation2, MonomialIdeal], int],
 ) -> Certificate:
-    """`choose_k` with mu and the module length taken from `min_gens` and `colength`."""
+    """`choose_k` with mu and the module length taken from `min_gens` and
+    `colength`, each called with M_k and its Fitt_0."""
     closed = closure(ideal) if close_first else None
     if closed is None:
         require_complete(ideal)
@@ -359,8 +358,8 @@ def _certify(
     oriented: MonomialIdeal,
     factorization: Factorization | None,
     forced_k: int | None,
-    min_gens: Callable[[Presentation2], int],
-    colength: Callable[[Presentation2], int],
+    min_gens: Callable[[Presentation2, MonomialIdeal], int],
+    colength: Callable[[Presentation2, MonomialIdeal], int],
 ) -> tuple[int, Presentation2, tuple[tuple[str, bool], ...], Verdict]:
     """k, M_k, the named checks and the verdict for a branch the theory covers."""
     r = oriented.order()
@@ -370,12 +369,13 @@ def _certify(
     matrix = build_Mk(oriented, k)  # KOutOfRange for bad forced k
 
     checks: list[tuple[str, bool]] = []
-    fit0_ok = fitting0(matrix) == oriented
+    fit0 = fitting0(matrix)
+    fit0_ok = fit0 == oriented
     checks.append(("fitting0_equals_ideal", fit0_ok))
     ell = ell_value(oriented, k)
     fit1_ok = fitting1(matrix) == normalize([(1, 0), (0, ell)])
     checks.append((f"fitting1_equals_(x,y^{ell})", fit1_ok))
-    mu_ok = min_gens(matrix) == r + 2
+    mu_ok = min_gens(matrix, fit0) == r + 2
     checks.append(("min_gens_equals_r_plus_2", mu_ok))
 
     pattern = _pattern_check(cls, oriented, r) if forced_k is None else None
@@ -383,7 +383,7 @@ def _certify(
         checks.append(pattern)
 
     assert factorization is not None
-    checks.extend(_indecomposability_checks(oriented, matrix, factorization, k, colength))
+    checks.extend(_indecomposability_checks(oriented, matrix, factorization, k, fit0, colength))
 
     # integral closedness of M_k is settled for k <= r-1 whenever
     # Fitt_0(M_k) = I, and for the designated k of the Case II branches

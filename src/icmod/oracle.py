@@ -8,10 +8,11 @@ monomials x^c y^d, c <= a_0, d <= b_r, in each coordinate, and there
 dim M/mM = rank(M) - rank(mM) and length(F/M) = dim(F/BF) - rank(M).  The
 rows are the monomial multiples of the columns reduced mod BF, with entries
 1, so they are the incidence rows of a graph, and an integer union-find ranks
-them (Godsil-Royle, GTM 207, Sec. 8.2).  The tests rank the same rows by the
-exact rational elimination `_rank` as the reference, and the certificate
-verifier compares the oracle with the graded counts of the decision.  Lengths
-of polynomial ideals are ranks over truncations R / m^N, by `_rank`.
+them (Godsil-Royle, GTM 207, Sec. 8.2), the one-entry rows in bulk.  Nothing
+is read from the graded counts: the tests rank the same rows by the exact
+rational elimination `_rank` as the reference, and the certificate verifier
+compares the oracle with the graded counts of the decision.  Lengths of
+polynomial ideals are ranks over truncations R / m^N, by `_rank`.
 
 The integral-closure oracle here deliberately avoids the Newton polygon: it
 tests membership of powers m^n in I^n, which is what the closure machinery is
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInconsistency, NotFiniteColength
@@ -42,20 +44,13 @@ def truncation_margin() -> int:
     return 0
 
 
-def _rank(
-    rows: Iterable[dict[int, int | Fraction]],
-    pivots: dict[int, dict[int, int | Fraction]] | None = None,
-) -> int:
+def _rank(rows: Iterable[dict[int, int | Fraction]]) -> int:
     """Rank over Q of sparse rows of `int` or `Fraction` entries, by exact
     elimination.  Each pivot is scaled to lead 1, so integer rows stay
     integers until a pivot's lead is not 1, and only that pivot becomes
     `Fraction`s.
-
-    Given `pivots` from an earlier call, elimination continues on them and
-    the result is the rank of the earlier rows and `rows` together.
     """
-    if pivots is None:
-        pivots = {}
+    pivots: dict[int, dict[int, int | Fraction]] = {}
     for row in rows:
         work = dict(row)
         while work:
@@ -98,9 +93,9 @@ def _box_ends(pres: Presentation2, a: int, b: int) -> Iterator[list[tuple[int, i
 
 
 def _box_row_count(pres: Presentation2, a: int, b: int) -> int:
-    """How many rows `_box_rows` lists, in O(columns): the multiples that keep
-    an entry in the box form a rectangle anchored at x^0 y^0, and a two-entry
-    column lists the union of its two rectangles."""
+    """How many rows the box holds, in O(columns): the monomial multiples of a
+    column that keep an entry in the box form a rectangle anchored at x^0 y^0,
+    and a two-entry column's multiples are the union of its two rectangles."""
     count = 0
     for ends in _box_ends(pres, a, b):
         count += sum((w + 1) * (h + 1) for _, w, h in ends)
@@ -110,35 +105,22 @@ def _box_row_count(pres: Presentation2, a: int, b: int) -> int:
     return count
 
 
-def _box_rows(pres: Presentation2, a: int, b: int, shifted: bool) -> Iterator[tuple[int, int]]:
-    """The monomial multiples of the columns reduced mod BF, B = (x^(a+1),
-    y^(b+1)): the multiples by m (the rows of mM) when `shifted`, else the
-    columns themselves.  An entry outside the box is 0 mod BF, and a multiple
-    with none inside is 0 and not listed.  A row is the pair of its entries'
-    positions, the second the ground position 2(a + 1)(b + 1) when only one
-    entry is left."""
-    width = a + 1
-    ground = 2 * width * (b + 1)
-    for ends in _box_ends(pres, a, b):
-        if not ends:
-            continue
-        # a one-entry column gets a second entry that never lands in the box
-        (p, pc, pd), (q, qc, qd) = ends if len(ends) == 2 else (*ends, (ground, -1, -1))
-        if not shifted:
-            yield p, q
-            continue
-        for d in range(max(pd, qd) + 1):
-            for c in range(0 if d else 1, max(pc, qc) + 1):
-                keeps_p = c <= pc and d <= pd
-                keeps_q = c <= qc and d <= qd
-                if keeps_p:
-                    yield p + d * width + c, q + d * width + c if keeps_q else ground
-                elif keeps_q:
-                    yield q + d * width + c, ground
+def _mark_ground(
+    parent: list[int], p: int, width: int, pc: int, pd: int, mc: int, md: int
+) -> None:
+    """Join to the ground, the last position of `parent`, every p + d * width
+    + c with c <= pc, d <= pd outside the corner c <= mc, d <= md: one slice
+    per rectangle row.  Only on a fresh `parent`, where every position is its
+    own root."""
+    ground = len(parent) - 1
+    for d in range(pd + 1):
+        row = p + d * width
+        lo = row + (mc + 1 if d <= md else 0)
+        parent[lo : row + pc + 1] = [ground] * (row + pc + 1 - lo)
 
 
 def _incidence_rank(rows: Iterable[tuple[int, int]], parent: list[int]) -> int:
-    """Rank over Q of the rows of `_box_rows`, in integers only.
+    """Rank over Q of box rows given as pairs of positions, in integers only.
 
     The two entries of a row lie in different coordinates, so with the second
     coordinate's sign flipped a row is the edge e_i - e_j of a bipartite
@@ -166,29 +148,52 @@ def _incidence_rank(rows: Iterable[tuple[int, int]], parent: list[int]) -> int:
 def _box_ranks(pres: Presentation2, a: int, b: int) -> tuple[int, int, int]:
     """dim F/BF, rank(mM) and rank(M) in the box c <= a, d <= b of F = R^2.
 
-    The union-find ranks the rows of mM and then carries on with the columns
-    themselves, which gives the rank of M.  The box's positions and rows count
-    against `MAX_OUTPUT_SIZE` first.
+    The rows of mM are the multiples x^c y^d != 1 of the columns mod BF, B =
+    (x^(a+1), y^(b+1)), where an entry outside the box is 0.  Those left with
+    one entry join it to the ground, marked first on the fresh union-find, so
+    their rank is the number of positions marked.  The multiples that keep
+    both entries, then the columns, follow through `_incidence_rank`: a rank
+    does not depend on the order of the edges.  The box's positions and rows
+    count against `MAX_OUTPUT_SIZE` first.
     """
-    dim = 2 * (a + 1) * (b + 1)
+    width = a + 1
+    dim = 2 * width * (b + 1)
     within_budget("module oracle box", dim, "index entries", MAX_OUTPUT_SIZE)
     within_budget("module oracle box", _box_row_count(pres, a, b), "rows", MAX_OUTPUT_SIZE)
     parent = list(range(dim + 1))
-    shifted = _incidence_rank(_box_rows(pres, a, b, True), parent)
-    return dim, shifted, shifted + _incidence_rank(_box_rows(pres, a, b, False), parent)
+    both = []  # the multiples that keep both entries, one zip per rectangle row
+    columns = []
+    for ends in _box_ends(pres, a, b):
+        if len(ends) == 1:
+            ((p, pc, pd),) = ends
+            # every multiple but the column itself, at c = d = 0
+            _mark_ground(parent, p, width, pc, pd, 0, 0)
+            columns.append((p, dim))
+        elif ends:
+            (p, pc, pd), (q, qc, qd) = ends
+            mc, md = min(pc, qc), min(pd, qd)
+            _mark_ground(parent, p, width, pc, pd, mc, md)
+            _mark_ground(parent, q, width, qc, qd, mc, md)
+            for d in range(md + 1):
+                start, stop = d * width + (0 if d else 1), d * width + mc + 1
+                both.append(zip(range(p + start, p + stop), range(q + start, q + stop)))
+            columns.append((p, q))
+    shifted = parent.count(dim) - 1 + _incidence_rank(chain.from_iterable(both), parent)
+    return dim, shifted, shifted + _incidence_rank(columns, parent)
 
 
-def module_colength(pres: Presentation2) -> int:
-    """Length of R^2 / M: dim F/BF - rank(M), with B from Fitt_0."""
-    ideal = finite_fitting0(pres)
+def module_colength(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:
+    """Length of R^2 / M: dim F/BF - rank(M), with B from Fitt_0, read from
+    `fit0` when the caller has it."""
+    ideal = finite_fitting0(pres) if fit0 is None else fit0
     dim, _, full = _box_ranks(pres, ideal.a0, ideal.br)
     return dim - full
 
 
-def module_min_gens(pres: Presentation2) -> int:
+def module_min_gens(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:
     """Minimal number of generators: dim M/mM = rank(M) - rank(mM) in F/BF,
-    with B from Fitt_0."""
-    ideal = finite_fitting0(pres)
+    with B from Fitt_0, read from `fit0` when the caller has it."""
+    ideal = finite_fitting0(pres) if fit0 is None else fit0
     _, shifted, full = _box_ranks(pres, ideal.a0, ideal.br)
     return full - shifted
 

@@ -101,9 +101,11 @@ def ell_value(ideal: MonomialIdeal, k: int) -> int:
     return min(ideal.bvec[-2], k, br - k)
 
 
-def _graded_columns(pres: Presentation2) -> tuple[Monomial, list[tuple[Monomial, int]]]:
+def _graded_columns(
+    pres: Presentation2, fit0: MonomialIdeal | None
+) -> tuple[Monomial, list[tuple[Monomial, int]]]:
     """The shift s and each column's (degree, support) in the grading, once
-    `finite_fitting0` has checked that R^2 / M has finite length.
+    Fitt_0 (`fit0`, else `finite_fitting0`) shows R^2 / M of finite length.
 
     The grading is deg e_0 = (0, 0), deg e_1 = s, with s = top - bottom of a
     two-entry column ((0, 0) if there is none), so every column is
@@ -114,7 +116,8 @@ def _graded_columns(pres: Presentation2) -> tuple[Monomial, list[tuple[Monomial,
     is no fallback for presentations without a consistent grading.
     Support is a bitmask: 1 = top row only, 2 = bottom only, 3 = both.
     """
-    finite_fitting0(pres)
+    if fit0 is None:
+        finite_fitting0(pres)
     s = next(
         ((t[0] - b[0], t[1] - b[1]) for t, b in pres.cols if t is not None and b is not None),
         (0, 0),
@@ -128,21 +131,7 @@ def _graded_columns(pres: Presentation2) -> tuple[Monomial, list[tuple[Monomial,
     return s, cols
 
 
-def _graded_rank(cols: list[tuple[Monomial, int]], deg: Monomial, below: bool = False) -> int:
-    """rank M_deg (or, with below, of its part from columns of degree < deg).
-
-    R^2 has dimension <= 2 in each degree, and a monomial multiple of a
-    column keeps the column's support, so the column multiples landing in
-    degree deg span min(2, number of distinct supports among them).
-    """
-    u, v = deg
-    kinds = {
-        kind for (a, b), kind in cols if a <= u and b <= v and not (below and (a, b) == deg)
-    }
-    return min(2, len(kinds))
-
-
-def graded_colength(pres: Presentation2) -> int:
+def graded_colength(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:
     """Length of R^2 / M from the exact sequence of the projection p_0 onto
     e_0, with K the kernel of p_0 on M, the part of M in R e_1,
 
@@ -155,9 +144,9 @@ def graded_colength(pres: Presentation2) -> int:
     two-entry column, reach D.  K is generated by the bottom entries of the
     bottom-only columns and lcm(t - s, b') for each top-only t and two-entry
     (t', b'); in degrees, lcm(t, t') less s.  Fitt_0 lies in both ideals, so
-    both staircases are m-primary.
+    both staircases are m-primary.  `fit0` is Fitt_0, if the caller has it.
     """
-    s, cols = _graded_columns(pres)
+    s, cols = _graded_columns(pres, fit0)
     both = [deg for deg, kind in cols if kind == 3]
     kernel = [deg for deg, kind in cols if kind == 2]
     kernel += [(max(a, c), max(b, d)) for (a, b), kind in cols if kind == 1 for c, d in both]
@@ -165,14 +154,23 @@ def graded_colength(pres: Presentation2) -> int:
     return tops.colength() + normalize((a - s[0], b - s[1]) for a, b in kernel).colength()
 
 
-def graded_min_gens(pres: Presentation2) -> int:
+def graded_min_gens(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:
     """mu(M) = sum over column degrees D of dim (M / mM)_D.
 
-    (mM)_D is spanned by the multiples of the columns of degree < D, so
-    dim (M / mM)_D = rank M_D - rank(columns of degree < D).
+    The column multiples in degree D keep their columns' supports and span
+    min(2, distinct supports), as R^2 has dimension <= 2 there.  (mM)_D is
+    spanned by those of the columns of degree < D, so one scan per D collects
+    both sets of supports.  `fit0` is Fitt_0 of `pres`, if the caller has it.
     """
-    _, cols = _graded_columns(pres)
-    return sum(
-        _graded_rank(cols, deg) - _graded_rank(cols, deg, below=True)
-        for deg in {deg for deg, _ in cols}
-    )
+    _, cols = _graded_columns(pres, fit0)
+    mu = 0
+    for deg in {deg for deg, _ in cols}:
+        u, v = deg
+        upto, below = set(), set()
+        for (a, b), kind in cols:
+            if a <= u and b <= v:
+                upto.add(kind)
+                if (a, b) != deg:
+                    below.add(kind)
+        mu += min(2, len(upto)) - min(2, len(below))
+    return mu

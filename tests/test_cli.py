@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +334,28 @@ class TestExitCodes:
             assert captured.out == ""
             assert captured.err == f"error: cannot write {out}: {reason}\n"
         assert not missing.parent.exists() and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["decide", STAIR_B_SRC, "--json"], ["render", "(x^3000, y)", "--out", "/dev/stdout"]],
+    )
+    def test_closed_pipe_exits_one_quietly(self, argv):
+        # the reader closes its end of the pipe before the command writes
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "icmod.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     @pytest.mark.parametrize("bounds", [("0", "1"), ("1", "0"), ("-2", "3"), ("two", "3")])
     def test_enumerate_bounds_must_be_positive(self, bounds):

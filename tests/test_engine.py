@@ -318,7 +318,7 @@ class TestCertificates:
         from icmod import engine
 
         ideal = M ** 3
-        monkeypatch.setattr(engine, "graded_min_gens", lambda pres: 0)
+        monkeypatch.setattr(engine, "graded_min_gens", lambda pres, fit0=None: 0)
         cert = choose_k(ideal)
         assert dict(cert.checks).get("min_gens_equals_r_plus_2") is False
         assert certificate_diff(cert) == [
@@ -327,7 +327,7 @@ class TestCertificates:
         ]
         monkeypatch.undo()
         split = engine._split_length(zariski_factor(ideal), 1)
-        monkeypatch.setattr(engine, "graded_colength", lambda pres: split)
+        monkeypatch.setattr(engine, "graded_colength", lambda pres, fit0=None: split)
         cert = choose_k(ideal)
         assert dict(cert.checks).get("length_refutes_splitting") is False
         assert certificate_diff(cert) == [

@@ -33,7 +33,6 @@ from icmod import (
 from icmod.oracle import (
     _box_ranks,
     _box_row_count,
-    _box_rows,
     _incidence_rank,
     _primitive_pairs,
     _rank,
@@ -118,15 +117,10 @@ class TestModuleOracles:
                 assert module_min_gens(pres) == graded_min_gens(pres), (ideal, k)
 
 
-def as_rows(rows, dim, one):
-    """The position pairs of `_box_rows` as rows of entries `one`, the ground
-    left out."""
-    return [{i: one for i in row if i < dim} for row in rows]
-
-
 def box_rows_by_multiples(pres, a, b, shifted):
     """Every monomial multiple x^c y^d of every column, with the entries that
-    fall outside the box c <= a, d <= b dropped, as sets of positions."""
+    fall outside the box c <= a, d <= b dropped, as sets of positions: the
+    multiples by m (the rows of mM) when `shifted`, else the columns."""
     width, block = a + 1, (a + 1) * (b + 1)
     rows = []
     for col in pres.cols:
@@ -140,34 +134,23 @@ def box_rows_by_multiples(pres, a, b, shifted):
                     if e is not None and e[0] + c <= a and e[1] + d <= b
                 }
                 if row:
-                    rows.append(frozenset(row))
-    return sorted(rows, key=sorted)
+                    rows.append(row)
+    return rows
 
 
 def assert_kernels_agree(pres, a, b):
-    """The union-find rank equals the rational elimination's, on the box rows
-    as `Fraction(1)` rows and as integer rows alike, on the rows of mM, of the
-    columns carried on from mM, and of M, which those two span (also ranked
-    columns first), and `_box_ranks` reads the same ranks."""
+    """`_box_ranks` reads the ranks of mM and of M that the rational
+    elimination gives the brute-force box rows (integer rows, which
+    `TestRank` checks against `Fraction` rows), and the union-find alone, fed
+    the same rows one by one with the ground as the second entry of a
+    one-entry row, ranks M so too."""
     dim = 2 * (a + 1) * (b + 1)
-    shifted_rows = list(_box_rows(pres, a, b, True))
-    unit_rows = list(_box_rows(pres, a, b, False))
-    readings = set()
-    for one in (Fraction(1), 1):
-        pivots = {}
-        shifted = _rank(as_rows(shifted_rows, dim, one), pivots)
-        added = _rank(as_rows(unit_rows, dim, one), pivots) - shifted
-        readings.add((shifted + added, shifted, added))
-    assert len(readings) == 1, (pres, a, b, readings)
-    want = readings.pop()
-    parent = list(range(dim + 1))
-    got = (
-        _incidence_rank(unit_rows + shifted_rows, list(range(dim + 1))),
-        _incidence_rank(shifted_rows, parent),
-        _incidence_rank(unit_rows, parent),
-    )
-    assert got == want, (pres, a, b)
-    assert _box_ranks(pres, a, b) == (dim, want[1], want[0]), (pres, a, b)
+    shifted_rows = box_rows_by_multiples(pres, a, b, True)
+    rows = shifted_rows + box_rows_by_multiples(pres, a, b, False)
+    shifted, full = (_rank(dict.fromkeys(row, 1) for row in part) for part in (shifted_rows, rows))
+    pairs = [(*sorted(row), dim)[:2] for row in rows]
+    assert _incidence_rank(pairs, list(range(dim + 1))) == full, (pres, a, b)
+    assert _box_ranks(pres, a, b) == (dim, shifted, full), (pres, a, b)
 
 
 def assert_fitting_box_agrees(pres):
@@ -191,6 +174,37 @@ def random_presentation(rng):
     return Presentation2(tuple(cols))
 
 
+SHAPES = ("one_entry", "shifts", "outside", "thin", "repeated")
+
+
+def shaped_presentation(rng, shape):
+    """A presentation and a box (a, b) of one shape: only one-entry columns;
+    two-entry columns of different shifts top - bottom; exponents far past
+    the box, so that many columns keep one entry or none; a = 0 or b = 0;
+    every column repeated."""
+    a, b = rng.randint(0, 6), rng.randint(0, 6)
+    reach = 12 if shape == "outside" else 6
+    if shape == "thin":
+        a, b = rng.choice(((0, b), (a, 0), (0, 0)))
+
+    def mono():
+        return rng.randint(0, reach), rng.randint(0, reach)
+
+    cols = []
+    for _ in range(rng.randint(1, 6)):
+        if shape == "one_entry" or rng.random() < 0.3:
+            cols.append((mono(), None) if rng.random() < 0.5 else (None, mono()))
+        else:
+            cols.append((mono(), mono()))
+    if shape == "shifts":
+        # at least two two-entry columns, each with its own shift
+        cols += [((u + du, v + dv), (u, v)) for (u, v), du, dv in [(mono(), 1, 0), (mono(), 0, 2)]]
+    if shape == "repeated":
+        cols = [col for col in cols for _ in range(rng.randint(2, 3))]
+    rng.shuffle(cols)
+    return Presentation2(tuple(cols)), a, b
+
+
 class TestIncidenceRank:
     def test_matches_fraction_rank_over_6_8(self, full_enumeration):
         for ideal in full_enumeration:
@@ -208,18 +222,21 @@ class TestIncidenceRank:
         for left in brute_ideals(3, 3):
             assert_fitting_box_agrees(diagonal_presentation(left, right))
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_fraction_rank_on_shaped_presentations(self, shape):
+        rng = random.Random(f"box {shape}")
+        for _ in range(200):
+            pres, a, b = shaped_presentation(rng, shape)
+            assert_kernels_agree(pres, a, b)
+
     def test_rows_are_the_multiples_left_in_the_box(self):
         rng = random.Random(8)
-        for _ in range(300):
-            pres = random_presentation(rng)
-            a, b = rng.randint(0, 7), rng.randint(0, 7)
-            dim = 2 * (a + 1) * (b + 1)
-            count = 0
-            for shifted in (True, False):
-                rows = as_rows(_box_rows(pres, a, b, shifted), dim, 1)
-                got = sorted((frozenset(row) for row in rows), key=sorted)
-                assert got == box_rows_by_multiples(pres, a, b, shifted), (pres, a, b)
-                count += len(rows)
+        cases = [
+            (random_presentation(rng), rng.randint(0, 7), rng.randint(0, 7)) for _ in range(300)
+        ]
+        cases += [shaped_presentation(rng, shape) for shape in SHAPES for _ in range(60)]
+        for pres, a, b in cases:
+            count = sum(len(box_rows_by_multiples(pres, a, b, s)) for s in (True, False))
             assert _box_row_count(pres, a, b) == count, (pres, a, b)
 
     def test_a_union_find_fault_is_caught(self, monkeypatch, full_enumeration):
@@ -288,10 +305,6 @@ class TestRank:
             fractions = [{c: Fraction(v) for c, v in row.items()} for row in ints]
             want = rank_by_minors(matrix)
             assert _rank(ints) == _rank(fractions) == want, matrix
-            # carried on from the pivots of a first part, as `assert_kernels_agree` does
-            pivots = {}
-            _rank(ints[:2], pivots)
-            assert _rank(ints[2:], pivots) == want, matrix
 
 
 class TestPolynomialColength:

@@ -19,7 +19,7 @@ from icmod import (
     module_min_gens,
     normalize,
 )
-from icmod.presentation import _graded_columns, _graded_rank
+from icmod.presentation import _graded_columns
 from icmod.staircase import MonomialIdeal
 
 STAIR_B = normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
@@ -145,12 +145,19 @@ class TestSufficientConditions:
             assert graded_min_gens(pres) == fitting0(pres).order() + 2
 
 
+def graded_rank(cols, deg) -> int:
+    """rank M_deg: the column multiples landing in degree deg keep their
+    columns' supports, and R^2 has dimension <= 2 there."""
+    u, v = deg
+    return min(2, len({kind for (a, b), kind in cols if a <= u and b <= v}))
+
+
 def graded_colength_by_points(pres: Presentation2) -> int:
     """Reference length of R^2 / M, one degree at a time over the box
     [0, a_0) x [0, b_r) and its translate by s.  O(a_0 * b_r * r), so only
     for tests."""
     ideal = fitting0(pres)
-    s, cols = _graded_columns(pres)
+    s, cols = _graded_columns(pres, None)
     box = {
         (u + du, v + dv)
         for du, dv in ((0, 0), s)
@@ -160,7 +167,7 @@ def graded_colength_by_points(pres: Presentation2) -> int:
     total = 0
     for u, v in box:
         dim = (u >= 0 and v >= 0) + (u >= s[0] and v >= s[1])
-        total += dim - _graded_rank(cols, (u, v))
+        total += dim - graded_rank(cols, (u, v))
     return total
 
 

@@ -1,6 +1,7 @@
 """The public surface is what the README documents: `icmod.__all__` and the CLI."""
 
 import argparse
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -9,7 +10,8 @@ import icmod
 from bench import spans
 from icmod.cli import build_parser
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def readme_public_names() -> dict[str, str]:
@@ -65,3 +67,18 @@ def test_every_traced_target_is_bound():
         tracer.uninstall()
     assert unbound == []
     assert all(getattr(*traced_owner(t)) is originals[t] for t in spans.TARGETS)
+
+
+def test_oracle_reads_nothing_of_the_graded_counts():
+    # the oracle cross-checks the graded counts of `presentation`, so it may
+    # take the presentation type and Fitt_0 from there and nothing else
+    tree = ast.parse((ROOT / "src" / "icmod" / "oracle.py").read_text(encoding="utf-8"))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module and node.module.split(".")[-1] == "presentation":
+                taken |= {alias.name for alias in node.names}
+            assert "presentation" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert all("presentation" not in alias.name for alias in node.names)
+    assert taken == {"Presentation2", "finite_fitting0"}
