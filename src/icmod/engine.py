@@ -25,16 +25,8 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
-from .errors import InternalInconsistency
-from .newton import (
-    Factorization,
-    SimpleFactor,
-    closure,
-    hull_factorization,
-    reconstruct,
-    require_complete,
-    simple_ideal,
-)
+from .errors import InternalInconsistency, NotComplete
+from .newton import Factorization, SimpleFactor, newton_vertices, reconstruct, zariski_factor
 from .oracle import module_colength, module_min_gens
 from .presentation import (
     Presentation2,
@@ -136,15 +128,9 @@ def _match_n1(factorization: Factorization) -> tuple[int, int] | None:
     return None
 
 
-def _factor(ideal: MonomialIdeal) -> Factorization | None:
-    """Factorization of a complete ideal; None for the unit ideal (1), of order 0."""
-    return hull_factorization(ideal) if ideal.order() >= 1 else None
-
-
 def classify(ideal: MonomialIdeal) -> Classification:
     """Branch dispatch for a complete, normalized, oriented ideal."""
-    require_complete(ideal)
-    return _classify(ideal, _factor(ideal))
+    return _classify(ideal, None if ideal.is_unit else zariski_factor(ideal))
 
 
 def _classify(ideal: MonomialIdeal, factorization: Factorization | None) -> Classification:
@@ -244,7 +230,7 @@ def _split_length(factorization: Factorization, ell: int) -> int:
     length that differs refutes it.
     """
     partner = reconstruct(factorization.remove(SimpleFactor(1, ell)))
-    return simple_ideal(SimpleFactor(1, ell)).colength() + partner.colength()
+    return ell + partner.colength()  # (x, y^l) has colength l
 
 
 def _indecomposability_checks(
@@ -305,8 +291,9 @@ def choose_k(
 ) -> Certificate:
     """Run the full decision procedure and emit a certificate.
 
-    The input is checked for completeness (or closed) once; transposing
-    keeps it complete, so the oriented ideal is factored without a check.
+    The input's Newton polygon is built once, and is the one polygon the
+    decision reads: its closure checks (or closes) the input, and its edges,
+    transposed with the ideal when `orient` flips it, give the factorization.
     """
     return _decide(ideal, forced_k, close_first, graded_min_gens, graded_colength)
 
@@ -319,15 +306,20 @@ def _decide(
     colength: Callable[[Presentation2, MonomialIdeal], int],
 ) -> Certificate:
     """`choose_k` with mu and the module length taken from `min_gens` and
-    `colength`, each called with M_k and its Fitt_0."""
-    closed = closure(ideal) if close_first else None
-    if closed is None:
-        require_complete(ideal)
-    elif closed == ideal:
+    `colength`, each called with M_k and its Fitt_0.  One polygon is read
+    throughout, as the closure keeps it; the unit ideal has none, so it has
+    no factorization."""
+    polygon = None if ideal.is_unit else newton_vertices(ideal)
+    closed = None if polygon is None else polygon.closure()
+    if closed == ideal:
         closed = None
+    elif closed is not None and not close_first:
+        raise NotComplete(f"{ideal} is not integrally closed")
     oriented, transposed = orient(ideal if closed is None else closed)
     r = oriented.order()
-    factorization = _factor(oriented)
+    if polygon is not None and transposed:
+        polygon = polygon.transpose()
+    factorization = None if polygon is None else polygon.factorization()
     cls = _classify(oriented, factorization)
 
     if cls.branch in (Branch.R2_OPEN, Branch.NOT_COVERED) and forced_k is None:

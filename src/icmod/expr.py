@@ -21,9 +21,8 @@ post-order of the expression.  The first domain error is held until the end
 of the input has parsed: a syntax error anywhere is reported before it.  Every
 product, and every square-and-multiply step of a power, is refused by
 `MonomialIdeal.product` when its operands form more than
-`staircase.MAX_PRODUCT_CANDIDATES` generator pairs, before it forms any: at
-the cap, m^999 * m^999 takes 0.05 s and two staircases whose million corner
-sums are all distinct 0.12 s and 110 MB (Python 3.11).
+`staircase.MAX_PRODUCT_CANDIDATES` generator pairs, before it forms any; the
+measured cost at that cap is in the budget comment of `staircase.py`.
 """
 
 from __future__ import annotations

@@ -23,14 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotComplete, NotMPrimary
-from .staircase import MAX_OUTPUT_SIZE, Monomial, MonomialIdeal, normalize, within_budget
-
-
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Lower-left hull vertices (p_0,0), ..., (0,q_t), sorted by p descending."""
-
-    vertices: tuple[Monomial, ...]
+from .staircase import MAX_OUTPUT_SIZE, Monomial, MonomialIdeal, within_budget
 
 
 @dataclass(frozen=True, order=True)
@@ -74,6 +67,49 @@ class Factorization:
         return Factorization.from_counts(counts)
 
 
+@dataclass(frozen=True)
+class NewtonPolygon:
+    """Lower-left hull vertices (p_0,0), ..., (0,q_t), sorted by p descending.
+
+    The closure and the factorization of an ideal are both read off its
+    polygon, so a caller that needs both builds the hull once.
+    """
+
+    vertices: tuple[Monomial, ...]
+
+    def closure(self) -> MonomialIdeal:
+        """The ideal of all lattice points on or above the polygon."""
+        edges = list(zip(self.vertices, self.vertices[1:]))
+        corners = 1 + sum(min(p0 - p1, q1 - q0) for (p0, q0), (p1, q1) in edges)
+        within_budget("closure", corners, "corners", MAX_OUTPUT_SIZE)
+        gens = []
+        for (p0, q0), (p1, q1) in edges:
+            dp, dq = p0 - p1, q1 - q0
+            if dq >= dp:
+                gens.extend((u, q0 - (-dq * (p0 - u) // dp)) for u in range(p0, p1, -1))
+            else:
+                gens.extend((p0 - dp * (v - q0) // dq, v) for v in range(q0, q1))
+        gens.append(self.vertices[-1])
+        return MonomialIdeal(tuple(gens))
+
+    def factorization(self) -> Factorization:
+        """The simple factors of the polygon's closure.
+
+        Each edge of lattice width dp and height dq contributes the simple
+        factor (dp/d, dq/d) with multiplicity d = gcd(dp, dq).
+        """
+        counts: Counter[SimpleFactor] = Counter()
+        for (p0, q0), (p1, q1) in zip(self.vertices, self.vertices[1:]):
+            dp, dq = p0 - p1, q1 - q0
+            d = math.gcd(dp, dq)
+            counts[SimpleFactor(dp // d, dq // d)] += d
+        return Factorization.from_counts(counts)
+
+    def transpose(self) -> "NewtonPolygon":
+        """The polygon of the transposed ideal: x and y swapped."""
+        return NewtonPolygon(tuple((q, p) for p, q in reversed(self.vertices)))
+
+
 def _cross(o: Monomial, a: Monomial, b: Monomial) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (b[0] - o[0]) * (a[1] - o[1])
 
@@ -93,57 +129,24 @@ def newton_vertices(ideal: MonomialIdeal) -> NewtonPolygon:
 
 def closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """Integral closure: the ideal of all lattice points inside the polygon."""
-    if ideal.is_unit:
-        return ideal
-    vertices = newton_vertices(ideal).vertices
-    edges = list(zip(vertices, vertices[1:]))
-    corners = 1 + sum(min(p0 - p1, q1 - q0) for (p0, q0), (p1, q1) in edges)
-    within_budget("closure", corners, "corners", MAX_OUTPUT_SIZE)
-    gens = []
-    for (p0, q0), (p1, q1) in edges:
-        dp, dq = p0 - p1, q1 - q0
-        if dq >= dp:
-            gens.extend((u, q0 - (-dq * (p0 - u) // dp)) for u in range(p0, p1, -1))
-        else:
-            gens.extend((p0 - dp * (v - q0) // dq, v) for v in range(q0, q1))
-    gens.append(vertices[-1])
-    return MonomialIdeal(tuple(gens))
+    return ideal if ideal.is_unit else newton_vertices(ideal).closure()
 
 
 def is_complete(ideal: MonomialIdeal) -> bool:
     return closure(ideal) == ideal
 
 
-def require_complete(ideal: MonomialIdeal) -> None:
-    if not is_complete(ideal):
-        raise NotComplete(f"{ideal} is not integrally closed")
-
-
 def zariski_factor(ideal: MonomialIdeal) -> Factorization:
     """Unique decomposition of a complete ideal into simple factors."""
-    require_complete(ideal)
-    return hull_factorization(ideal)
-
-
-def hull_factorization(ideal: MonomialIdeal) -> Factorization:
-    """The simple factors read off the Newton polygon, with no completeness check.
-
-    Each hull edge of lattice width dp and height dq contributes the simple
-    factor (dp/d, dq/d) with multiplicity d = gcd(dp, dq).  Closure keeps
-    the hull, so on a complete ideal this is `zariski_factor`.
-    """
-    counts: Counter[SimpleFactor] = Counter()
-    np_ = newton_vertices(ideal)
-    for (p0, q0), (p1, q1) in zip(np_.vertices, np_.vertices[1:]):
-        dp, dq = p0 - p1, q1 - q0
-        d = math.gcd(dp, dq)
-        counts[SimpleFactor(dp // d, dq // d)] += d
-    return Factorization.from_counts(counts)
+    polygon = newton_vertices(ideal)
+    if polygon.closure() != ideal:
+        raise NotComplete(f"{ideal} is not integrally closed")
+    return polygon.factorization()
 
 
 def simple_ideal(f: SimpleFactor) -> MonomialIdeal:
     """The simple complete ideal attached to a primitive pair: closure of (x^p, y^q)."""
-    return closure(normalize([(f.p, 0), (0, f.q)]))
+    return NewtonPolygon(((f.p, 0), (0, f.q))).closure()
 
 
 def reconstruct(factorization: Factorization) -> MonomialIdeal:

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 
@@ -16,6 +17,8 @@ from icmod import (
     build_Mk,
     orient,
     parse_ideal,
+    reconstruct,
+    simple_ideal,
     valid_k_set,
     verify_certificate,
     zariski_factor,
@@ -155,20 +158,40 @@ class TestChooseK:
         assert cert.branch == Branch.NOT_COVERED
         assert cert.verdict == Verdict.NOT_COVERED and cert.k is None
 
-    def test_one_completeness_check_per_decision(self, monkeypatch, small_complete):
+    def test_one_hull_per_decision(self, monkeypatch, small_complete):
+        # a decision reads the input's Newton polygon and no other, with or
+        # without closing it first; the products of simple closures read none
         from icmod import newton
 
-        checked = []
-        is_complete = newton.is_complete
-        monkeypatch.setattr(
-            newton, "is_complete", lambda ideal: checked.append(ideal) or is_complete(ideal)
-        )
-        for ideal in small_complete:
-            checked.clear()
-            choose_k(ideal)
-            assert checked == [ideal]
-            choose_k(ideal, close_first=True)  # closes instead of checking
-            assert checked == [ideal]
+        hulled = []
+        newton_vertices = newton.newton_vertices
+
+        def counted(ideal):
+            hulled.append(ideal)
+            return newton_vertices(ideal)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("icmod") and vars(module).get("newton_vertices") is newton_vertices:
+                monkeypatch.setattr(module, "newton_vertices", counted)
+        not_complete = [normalize([(3, 0), (0, 2)]), normalize([(7, 0), (1, 1), (0, 4)])]
+        cases = [(i, close) for i in small_complete for close in (False, True)]
+        certs = []
+        for ideal, close_first in cases + [(i, True) for i in not_complete]:
+            hulled.clear()
+            cert = choose_k(ideal, close_first=close_first)
+            assert hulled == [ideal]
+            hulled.clear()
+            assert verify_certificate(cert)
+            assert hulled == [ideal]
+            certs.append(cert)
+        assert any(c.transposed for c in certs) and any(c.closed_input for c in certs)
+        hulled.clear()
+        for cert in certs:
+            if cert.factorization is not None:
+                assert reconstruct(cert.factorization) == cert.ideal
+                for f, _ in cert.factorization.factors:
+                    simple_ideal(f)
+        assert hulled == []
 
     def test_close_first(self):
         raw = normalize([(3, 0), (0, 2)])

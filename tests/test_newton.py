@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from icmod import (
     zariski_factor,
 )
 from icmod.staircase import MonomialIdeal
+from tests.conftest import brute_ideals
 from tests.test_staircase import random_ideals
 
 STAIR_A = normalize([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7)])
@@ -105,6 +107,14 @@ STAIRCASES = st.one_of(
 )
 
 
+def assert_polygon_transposes(ideal: MonomialIdeal) -> None:
+    """The polygon of the transposed ideal is the transposed polygon, and it
+    factors the transposed closure."""
+    transposed = newton_vertices(ideal).transpose()
+    assert transposed == newton_vertices(ideal.transpose())
+    assert transposed.factorization() == zariski_factor(closure(ideal).transpose())
+
+
 class TestClosure:
     def test_fills_under_the_hull(self):
         assert closure(normalize([(3, 0), (0, 2)])).gens == (
@@ -122,6 +132,7 @@ class TestClosure:
         assert closure(cl) == cl
         assert cl.contains(ideal)
         assert cl.order() == ideal.order()
+        assert_polygon_transposes(ideal)
 
     @given(random_ideals())
     @settings(max_examples=50)
@@ -203,6 +214,12 @@ class TestClosure:
         assert not is_complete(normalize([(3, 0), (0, 2)]))
         assert is_complete(STAIR_A)
         assert is_complete(STAIR_B)
+        ideals = brute_ideals(4, 4)
+        complete = [ideal for ideal in ideals if is_complete(ideal)]
+        assert 0 < len(complete) < len(ideals)
+        for ideal in ideals:
+            assert is_complete(ideal) == (closure(ideal) == ideal)
+            assert_polygon_transposes(ideal)
 
 
 class TestSimpleFactors:
@@ -218,6 +235,11 @@ class TestSimpleFactors:
     def test_simple_ideal_is_simple(self):
         for f in (SimpleFactor(2, 3), SimpleFactor(1, 4)):
             assert zariski_factor(simple_ideal(f)).factors == ((f, 1),)
+        for p in range(1, 13):
+            for q in range(1, 13):
+                if math.gcd(p, q) == 1:
+                    f = SimpleFactor(p, q)
+                    assert simple_ideal(f) == closure(normalize([(p, 0), (0, q)]))
         assert zariski_factor(normalize([(2, 0), (1, 1), (0, 2)])).factors == (
             (SimpleFactor(1, 1), 2),
         )

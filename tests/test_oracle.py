@@ -117,25 +117,23 @@ class TestModuleOracles:
                 assert module_min_gens(pres) == graded_min_gens(pres), (ideal, k)
 
 
-def box_rows_by_multiples(pres, a, b, shifted):
+def box_rows_by_multiples(pres, a, b):
     """Every monomial multiple x^c y^d of every column, with the entries that
-    fall outside the box c <= a, d <= b dropped, as sets of positions: the
-    multiples by m (the rows of mM) when `shifted`, else the columns."""
+    fall outside the box c <= a, d <= b dropped, as sets of positions, in one
+    pass over the box: the multiples by m (the rows of mM), and the columns."""
     width, block = a + 1, (a + 1) * (b + 1)
-    rows = []
+    shifted, columns = [], []
     for col in pres.cols:
         for c in range(a + 1):
             for d in range(b + 1):
-                if (c + d > 0) != shifted:
-                    continue
                 row = {
                     coord * block + (e[1] + d) * width + e[0] + c
                     for coord, e in enumerate(col)
                     if e is not None and e[0] + c <= a and e[1] + d <= b
                 }
                 if row:
-                    rows.append(row)
-    return rows
+                    (shifted if c + d else columns).append(row)
+    return shifted, columns
 
 
 def assert_kernels_agree(pres, a, b):
@@ -145,8 +143,8 @@ def assert_kernels_agree(pres, a, b):
     the same rows one by one with the ground as the second entry of a
     one-entry row, ranks M so too."""
     dim = 2 * (a + 1) * (b + 1)
-    shifted_rows = box_rows_by_multiples(pres, a, b, True)
-    rows = shifted_rows + box_rows_by_multiples(pres, a, b, False)
+    shifted_rows, columns = box_rows_by_multiples(pres, a, b)
+    rows = shifted_rows + columns
     shifted, full = (_rank(dict.fromkeys(row, 1) for row in part) for part in (shifted_rows, rows))
     pairs = [(*sorted(row), dim)[:2] for row in rows]
     assert _incidence_rank(pairs, list(range(dim + 1))) == full, (pres, a, b)
@@ -236,7 +234,7 @@ class TestIncidenceRank:
         ]
         cases += [shaped_presentation(rng, shape) for shape in SHAPES for _ in range(60)]
         for pres, a, b in cases:
-            count = sum(len(box_rows_by_multiples(pres, a, b, s)) for s in (True, False))
+            count = sum(map(len, box_rows_by_multiples(pres, a, b)))
             assert _box_row_count(pres, a, b) == count, (pres, a, b)
 
     def test_a_union_find_fault_is_caught(self, monkeypatch, full_enumeration):
