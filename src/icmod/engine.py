@@ -37,7 +37,7 @@ from .presentation import (
     graded_colength,
     graded_min_gens,
 )
-from .staircase import MonomialIdeal, normalize
+from .staircase import MonomialIdeal, unchecked_normalize
 
 
 class Branch(enum.Enum):
@@ -100,10 +100,10 @@ def orient(ideal: MonomialIdeal) -> tuple[MonomialIdeal, bool]:
     return ideal, False
 
 
-# each exceptional factorization with its (alpha, beta): N2 and N3 have the
-# form (x,y)^{r-2}(x^alpha,y)(x,y^beta) of N1, N4 has none
+# the factor counts of each exceptional factorization with its (alpha, beta):
+# N2 and N3 have the form (x,y)^{r-2}(x^alpha,y)(x,y^beta) of N1, N4 has none
 _N_PATTERNS = {
-    branch: (Factorization.from_counts({SimpleFactor(*f): m for f, m in counts}), alpha, beta)
+    branch: ({SimpleFactor(*f): m for f, m in counts}, alpha, beta)
     for branch, counts, alpha, beta in (
         (Branch.N2, (((1, 1), 3), ((1, 2), 1)), 1, 2),
         (Branch.N3, (((1, 1), 2), ((1, 2), 1), ((2, 1), 1)), 2, 2),
@@ -112,9 +112,9 @@ _N_PATTERNS = {
 }
 
 
-def _match_n1(factorization: Factorization) -> tuple[int, int] | None:
-    """Match (x,y)(x^alpha,y)(x,y^beta) with beta >= alpha > 0; return (alpha, beta)."""
-    counts = dict(factorization.as_dict())
+def _match_n1(counts: dict[SimpleFactor, int]) -> tuple[int, int] | None:
+    """Match the factor counts of (x,y)(x^alpha,y)(x,y^beta), beta >= alpha > 0."""
+    counts = dict(counts)
     if sum(counts.values()) != 3:
         return None
     if counts.get(SimpleFactor(1, 1), 0) < 1:
@@ -130,11 +130,14 @@ def _match_n1(factorization: Factorization) -> tuple[int, int] | None:
 
 def classify(ideal: MonomialIdeal) -> Classification:
     """Branch dispatch for a complete, normalized, oriented ideal."""
-    return _classify(ideal, None if ideal.is_unit else zariski_factor(ideal))
+    counts = None if ideal.is_unit else zariski_factor(ideal).as_dict()
+    return _classify(ideal, ideal.order(), counts)
 
 
-def _classify(ideal: MonomialIdeal, factorization: Factorization | None) -> Classification:
-    r = ideal.order()
+def _classify(
+    ideal: MonomialIdeal, r: int, counts: dict[SimpleFactor, int] | None
+) -> Classification:
+    """`classify`, given the order r and the factor counts of the factorization."""
     if r <= 1:
         return Classification(Branch.NOT_COVERED)
     if ideal.r != r:
@@ -144,36 +147,35 @@ def _classify(ideal: MonomialIdeal, factorization: Factorization | None) -> Clas
     if r == 2:
         if ideal.member((1, 1)):
             return Classification(Branch.R2_OPEN)
-        b1, b2 = ideal.bvec[1], ideal.bvec[2]
+        b1, b2 = ideal.gens[1][1], ideal.gens[2][1]
         branch = Branch.R2_SIMPLE if b2 < 2 * b1 else Branch.R2_SPLIT
         return Classification(branch)
-    if ideal.avec[-2] != 1:
+    if ideal.gens[-2][0] != 1:
         raise InternalInconsistency(
             f"oriented complete ideal of order >= 3 with a_(r-1) != 1: {ideal}"
         )
-    assert factorization is not None
-    if all(f.order > 1 for f, _ in factorization.factors):
+    assert counts is not None
+    if all(f.order > 1 for f in counts):
         return Classification(Branch.NO_ORDER1_FACTOR)
-    counts = factorization.as_dict()
-    missing = [ell for ell in range(1, r) if counts.get(SimpleFactor(1, ell), 0) < 1]
+    present = {f.q for f in counts if f.p == 1}  # the l of each factor (x, y^l)
+    missing = [ell for ell in range(1, r) if ell not in present]
     if missing:
         k0 = missing[0]
         if _condition_fk(ideal, k0):
             return Classification(Branch.CASE_I, k0=k0)
-        match = _match_n1(factorization)
+        match = _match_n1(counts)
         if match is not None:
             return Classification(Branch.N1, k0=k0, alpha=match[0], beta=match[1])
         for branch, (pattern, alpha, beta) in _N_PATTERNS.items():
-            if factorization == pattern:
+            if counts == pattern:
                 return Classification(branch, k0=k0, alpha=alpha, beta=beta)
         raise InternalInconsistency(
             f"Case I extra condition fails but no exceptional pattern matches: {ideal}"
         )
     # Case II: strip one copy of each (x, y^l), l = 1..r-1; one order-1 factor is left
-    residual = factorization
-    for ell in range(1, r):
-        residual = residual.remove(SimpleFactor(1, ell))
-    rest = [f for f, m in residual.factors for _ in range(m)]
+    residual = Counter(counts)
+    residual.subtract(SimpleFactor(1, ell) for ell in range(1, r))
+    rest = list(residual.elements())
     if len(rest) != 1 or rest[0].order != 1:
         raise InternalInconsistency(
             f"Case II residual is not a single order-one factor: {ideal}"
@@ -222,31 +224,31 @@ def valid_k_set(cls: Classification, r: int) -> list[int]:
     return [default] if default is not None else []
 
 
-def _split_length(factorization: Factorization, ell: int) -> int:
+def _split_length(counts: dict[SimpleFactor, int], ell: int) -> int:
     """Module length of the only decomposition shape allowed when x y^l is outside I.
 
     A splitting would force M_k = (x, y^l) + J with (x, y^l) * J = I, so the
     module length would equal the sum of the two ideal colengths; a true
     length that differs refutes it.
     """
-    partner = reconstruct(factorization.remove(SimpleFactor(1, ell)))
+    partner = reconstruct(Factorization.from_counts(counts).remove(SimpleFactor(1, ell)))
     return ell + partner.colength()  # (x, y^l) has colength l
 
 
 def _indecomposability_checks(
     ideal: MonomialIdeal,
     matrix: Presentation2,
-    factorization: Factorization,
-    k: int,
+    counts: dict[SimpleFactor, int],
+    ell: int,
     fit0: MonomialIdeal,
     colength: Callable[[Presentation2, MonomialIdeal], int],
 ) -> list[tuple[str, bool]]:
-    """The clause chain of the splitting obstruction, as named checks."""
+    """The clause chain of the splitting obstruction, as named checks, given
+    the factor counts and the y-exponent ell of Fitt_1(M_k)."""
     checks: list[tuple[str, bool]] = []
-    if all(f.order > 1 for f, _ in factorization.factors):
+    if all(f.order > 1 for f in counts):
         checks.append(("no_order_one_factor", True))
         return checks
-    ell = ell_value(ideal, k)
     if ell < 1:
         checks.append(("fitting1_has_positive_y_exponent", False))
         return checks
@@ -254,10 +256,10 @@ def _indecomposability_checks(
     checks.append((f"xy^{ell}_not_in_ideal", xy_out))
     if not xy_out:
         return checks
-    if factorization.multiplicity(SimpleFactor(1, ell)) < 1:
+    if counts.get(SimpleFactor(1, ell), 0) < 1:
         checks.append((f"(x,y^{ell})_not_a_factor", True))
         return checks
-    ok = colength(matrix, fit0) != _split_length(factorization, ell)
+    ok = colength(matrix, fit0) != _split_length(counts, ell)
     checks.append(("length_refutes_splitting", ok))
     return checks
 
@@ -320,14 +322,15 @@ def _decide(
     if polygon is not None and transposed:
         polygon = polygon.transpose()
     factorization = None if polygon is None else polygon.factorization()
-    cls = _classify(oriented, factorization)
+    counts = None if factorization is None else factorization.as_dict()
+    cls = _classify(oriented, r, counts)
 
     if cls.branch in (Branch.R2_OPEN, Branch.NOT_COVERED) and forced_k is None:
         k, matrix, checks = None, None, ()
         verdict = Verdict.OPEN if cls.branch == Branch.R2_OPEN else Verdict.NOT_COVERED
     else:
         k, matrix, checks, verdict = _certify(
-            cls, oriented, factorization, forced_k, min_gens, colength
+            cls, oriented, r, counts, forced_k, min_gens, colength
         )
     return Certificate(
         input=ideal,
@@ -348,13 +351,14 @@ def _decide(
 def _certify(
     cls: Classification,
     oriented: MonomialIdeal,
-    factorization: Factorization | None,
+    r: int,
+    counts: dict[SimpleFactor, int] | None,
     forced_k: int | None,
     min_gens: Callable[[Presentation2, MonomialIdeal], int],
     colength: Callable[[Presentation2, MonomialIdeal], int],
 ) -> tuple[int, Presentation2, tuple[tuple[str, bool], ...], Verdict]:
-    """k, M_k, the named checks and the verdict for a branch the theory covers."""
-    r = oriented.order()
+    """k, M_k, the named checks and the verdict for a branch the theory covers,
+    given the order r and the factor counts of the factorization."""
     k = _default_k(cls, r) if forced_k is None else forced_k
     if k is None:
         raise InternalInconsistency(f"no k for branch {cls.branch}")
@@ -365,7 +369,7 @@ def _certify(
     fit0_ok = fit0 == oriented
     checks.append(("fitting0_equals_ideal", fit0_ok))
     ell = ell_value(oriented, k)
-    fit1_ok = fitting1(matrix) == normalize([(1, 0), (0, ell)])
+    fit1_ok = fitting1(matrix) == unchecked_normalize([(1, 0), (0, ell)])
     checks.append((f"fitting1_equals_(x,y^{ell})", fit1_ok))
     mu_ok = min_gens(matrix, fit0) == r + 2
     checks.append(("min_gens_equals_r_plus_2", mu_ok))
@@ -374,8 +378,8 @@ def _certify(
     if pattern is not None:
         checks.append(pattern)
 
-    assert factorization is not None
-    checks.extend(_indecomposability_checks(oriented, matrix, factorization, k, fit0, colength))
+    assert counts is not None
+    checks.extend(_indecomposability_checks(oriented, matrix, counts, ell, fit0, colength))
 
     # integral closedness of M_k is settled for k <= r-1 whenever
     # Fitt_0(M_k) = I, and for the designated k of the Case II branches

@@ -14,7 +14,9 @@ Polynomials with integer coefficients (`parse_polys`) start from::
     poly   := '-'? pterm (('+' | '-') pterm)*
     pterm  := UINT | mono | UINT '*'? mono
 
-Whitespace is insignificant.  'm' is sugar for (x, y).
+Whitespace is insignificant.  'm' is sugar for (x, y).  UINT is a run of the
+ASCII digits 0-9: any other character outside the grammar, a superscript or
+non-ASCII digit included, is a ParseError at its line and column.
 
 Each ideal rule returns its staircase as it parses, so evaluation follows the
 post-order of the expression.  The first domain error is held until the end
@@ -27,7 +29,7 @@ measured cost at that cap is in the budget comment of `staircase.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Callable
 
 from .errors import DomainError, ParseError
@@ -39,54 +41,33 @@ from .staircase import Monomial, MonomialIdeal, normalize
 # ---------------------------------------------------------------- lexer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # one of ( ) , * ^ + - x y m closure int end
-    value: int
-    pos: int
+# (kind, value, pos): kind is one of ( ) , * ^ + - x y m closure int end, and
+# value is an int token's integer, 0 for every other kind
+_Token = tuple[str, int, int]
 
-
-def _line_col(src: str, pos: int) -> tuple[int, int]:
-    line = src.count("\n", 0, pos) + 1
-    col = pos - (src.rfind("\n", 0, pos) + 1) + 1
-    return line, col
+_IDEAL_KINDS = frozenset(("(", ")", ",", "*", "^", "x", "y", "m", "closure"))
+_POLY_KINDS = _IDEAL_KINDS | {"+", "-"}
+# ASCII digits, the keyword, or any other single character that is not whitespace
+_LEXEME = re.compile(r"([0-9]+)|closure|\S")
 
 
 def _error(src: str, pos: int, message: str) -> ParseError:
-    line, col = _line_col(src, pos)
+    line = src.count("\n", 0, pos) + 1
+    col = pos - (src.rfind("\n", 0, pos) + 1) + 1
     return ParseError(message, line, col)
 
 
-def _tokenize(src: str, punctuation: str) -> list[_Token]:
+def _tokenize(src: str, kinds: frozenset[str]) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in punctuation:
-            tokens.append(_Token(ch, 0, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", int(src[i:j]), i))
-            i = j
-            continue
-        if src.startswith("closure", i):
-            tokens.append(_Token("closure", 0, i))
-            i += len("closure")
-            continue
-        if ch in "xym":
-            tokens.append(_Token(ch, 0, i))
-            i += 1
-            continue
-        raise _error(src, i, f"unexpected character {ch!r}")
-    tokens.append(_Token("end", 0, n))
+    for match in _LEXEME.finditer(src):
+        digits, text = match.group(1, 0)
+        if digits is not None:
+            tokens.append(("int", int(digits), match.start()))
+        elif text in kinds:
+            tokens.append((text, 0, match.start()))
+        else:
+            raise _error(src, match.start(), f"unexpected character {text!r}")
+    tokens.append(("end", 0, len(src)))
     return tokens
 
 
@@ -96,29 +77,34 @@ def _tokenize(src: str, punctuation: str) -> list[_Token]:
 class _Parser:
     def __init__(self, src: str, signs: bool = False):
         self.src = src
-        self.tokens = _tokenize(src, "(),*^+-" if signs else "(),*^")
+        self.tokens = _tokenize(src, _POLY_KINDS if signs else _IDEAL_KINDS)
         self.pos = 0
         self.failure: DomainError | None = None
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
+    def error(self, message: str) -> ParseError:
+        """`message` at the next token."""
+        return _error(self.src, self.tokens[self.pos][2], message)
+
     def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise _error(self.src, tok.pos, f"expected {kind!r}, found {tok.kind!r}")
-        return tok
+        found = self.peek()
+        if found != kind:
+            raise self.error(f"expected {kind!r}, found {found!r}")
+        return self.next()
 
     def parse(self, rule):
         node = rule()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise _error(self.src, tok.pos, f"trailing input starting at {tok.kind!r}")
+        kind = self.peek()
+        if kind != "end":
+            raise self.error(f"trailing input starting at {kind!r}")
         return node
 
     def apply(self, op: Callable[..., MonomialIdeal], *args) -> MonomialIdeal:
@@ -132,62 +118,61 @@ class _Parser:
 
     def expr(self) -> MonomialIdeal:
         ideal = self.term()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.next()
             ideal = self.apply(ideal.product, self.term())
         return ideal
 
     def term(self) -> MonomialIdeal:
         ideal = self.atom()
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.next()
-            tok = self.expect("int")
-            if tok.value < 1:
-                raise _error(self.src, tok.pos, "power exponent must be >= 1")
-            ideal = self.apply(ideal.power, tok.value)
+            _, exponent, pos = self.expect("int")
+            if exponent < 1:
+                raise _error(self.src, pos, "power exponent must be >= 1")
+            ideal = self.apply(ideal.power, exponent)
         return ideal
 
     def atom(self) -> MonomialIdeal:
-        tok = self.peek()
-        if tok.kind == "m":
+        kind = self.peek()
+        if kind == "m":
             self.next()
-            return normalize([(1, 0), (0, 1)])
-        if tok.kind == "closure":
+            return MonomialIdeal(((1, 0), (0, 1)))
+        if kind == "closure":
             self.next()
             self.expect("(")
             inner = self.expr()
             self.expect(")")
             return self.apply(_closure, inner)
-        if tok.kind == "(":
+        if kind == "(":
             self.next()
             terms = self.comma_list(self.mono)
             self.expect(")")
             return self.apply(normalize, terms)
-        raise _error(self.src, tok.pos, f"expected an ideal, found {tok.kind!r}")
+        raise self.error(f"expected an ideal, found {kind!r}")
 
     def mono(self) -> Monomial:
         a = b = 0
         saw = False
         while True:
-            tok = self.peek()
-            if tok.kind == "*" and saw and self._factor_follows():
+            kind, value, _ = self.tokens[self.pos]
+            if kind == "*" and saw and self._factor_follows():
                 self.next()
                 continue
-            if tok.kind == "int" and not saw and tok.value == 1:
+            if kind == "int" and not saw and value == 1:
                 # the constant monomial "1"
                 self.next()
                 return (0, 0)
-            if tok.kind not in ("x", "y"):
+            if kind not in ("x", "y"):
                 if not saw:
-                    raise _error(self.src, tok.pos, f"expected a monomial, found {tok.kind!r}")
+                    raise self.error(f"expected a monomial, found {kind!r}")
                 return (a, b)
             self.next()
             exponent = 1
-            if self.peek().kind == "^":
+            if self.peek() == "^":
                 self.next()
-                etok = self.expect("int")
-                exponent = etok.value
-            if tok.kind == "x":
+                exponent = self.expect("int")[1]
+            if kind == "x":
                 a += exponent
             else:
                 b += exponent
@@ -195,36 +180,36 @@ class _Parser:
 
     def comma_list(self, item):
         out = [item()]
-        while self.peek().kind == ",":
+        while self.peek() == ",":
             self.next()
             out.append(item())
         return out
 
     def poly(self) -> Poly:
         sign = 1
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.next()
             sign = -1
         terms = [self.pterm(sign)]
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.next().kind == "+" else -1
+        while self.peek() in ("+", "-"):
+            sign = 1 if self.next()[0] == "+" else -1
             terms.append(self.pterm(sign))
         return terms
 
     def pterm(self, sign: int) -> Term:
-        tok = self.peek()
-        if tok.kind != "int":
+        kind, value, _ = self.tokens[self.pos]
+        if kind != "int":
             return (sign, *self.mono())
         self.next()
-        if self.peek().kind == "*" and self._factor_follows():
+        if self.peek() == "*" and self._factor_follows():
             self.next()
-        if self.peek().kind in ("x", "y"):
-            return (sign * tok.value, *self.mono())
-        return (sign * tok.value, 0, 0)
+        if self.peek() in ("x", "y"):
+            return (sign * value, *self.mono())
+        return (sign * value, 0, 0)
 
     def _factor_follows(self) -> bool:
         """Whether the token after the current one starts a factor."""
-        return self.tokens[self.pos + 1].kind in ("x", "y")
+        return self.tokens[self.pos + 1][0] in ("x", "y")
 
 
 def parse_polys(src: str) -> list[Poly]:
@@ -246,9 +231,9 @@ def parse_ideal(src: str) -> MonomialIdeal:
 def parse_monomial(src: str) -> Monomial:
     parser = _Parser(src)
     mono = parser.mono()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise _error(src, tok.pos, f"trailing input after monomial: {tok.kind!r}")
+    kind = parser.peek()
+    if kind != "end":
+        raise parser.error(f"trailing input after monomial: {kind!r}")
     return mono
 
 

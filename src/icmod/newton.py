@@ -21,21 +21,26 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotComplete, NotMPrimary
 from .staircase import MAX_OUTPUT_SIZE, Monomial, MonomialIdeal, within_budget
 
 
-@dataclass(frozen=True, order=True)
-class SimpleFactor:
-    """Exponent pair of a simple complete ideal, the closure of (x^p, y^q)."""
+class SimpleFactor(NamedTuple("SimpleFactor", [("p", int), ("q", int)])):
+    """Exponent pair of a simple complete ideal, the closure of (x^p, y^q); a
+    tuple, so hashing, equality and ordering by (p, q) run in C."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1 or math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"not a primitive exponent pair: {(self.p, self.q)}")
+    def __new__(cls, p: int, q: int) -> "SimpleFactor":
+        if p < 1 or q < 1 or math.gcd(p, q) != 1:
+            raise ValueError(f"not a primitive exponent pair: {(p, q)}")
+        return tuple.__new__(cls, (p, q))
+
+    @classmethod
+    def _make(cls, iterable) -> "SimpleFactor":  # `_replace` too: checked as in __new__
+        return cls(*iterable)
 
     @property
     def order(self) -> int:

@@ -92,12 +92,12 @@ def _box_ends(pres: Presentation2, a: int, b: int) -> Iterator[list[tuple[int, i
         ]
 
 
-def _box_row_count(pres: Presentation2, a: int, b: int) -> int:
-    """How many rows the box holds, in O(columns): the monomial multiples of a
-    column that keep an entry in the box form a rectangle anchored at x^0 y^0,
-    and a two-entry column's multiples are the union of its two rectangles."""
+def _box_row_count(box_ends: Iterable[list[tuple[int, int, int]]]) -> int:
+    """How many rows the box of `box_ends` holds: the multiples of a column
+    that keep an entry in the box form a rectangle anchored at x^0 y^0, and a
+    two-entry column's multiples are the union of its two rectangles."""
     count = 0
-    for ends in _box_ends(pres, a, b):
+    for ends in box_ends:
         count += sum((w + 1) * (h + 1) for _, w, h in ends)
         if len(ends) == 2:
             (_, w1, h1), (_, w2, h2) = ends
@@ -159,11 +159,12 @@ def _box_ranks(pres: Presentation2, a: int, b: int) -> tuple[int, int, int]:
     width = a + 1
     dim = 2 * width * (b + 1)
     within_budget("module oracle box", dim, "index entries", MAX_OUTPUT_SIZE)
-    within_budget("module oracle box", _box_row_count(pres, a, b), "rows", MAX_OUTPUT_SIZE)
+    box_ends = list(_box_ends(pres, a, b))
+    within_budget("module oracle box", _box_row_count(box_ends), "rows", MAX_OUTPUT_SIZE)
     parent = list(range(dim + 1))
     both = []  # the multiples that keep both entries, one zip per rectangle row
     columns = []
-    for ends in _box_ends(pres, a, b):
+    for ends in box_ends:
         if len(ends) == 1:
             ((p, pc, pd),) = ends
             # every multiple but the column itself, at c = d = 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import KOutOfRange, NonMonomialMinor, NotFiniteColength, NotMPrimary
-from .staircase import Monomial, MonomialIdeal, normalize
+from .staircase import Monomial, MonomialIdeal, unchecked_normalize
 
 Entry = Monomial | None
 Column = tuple[Entry, Entry]
@@ -29,6 +29,13 @@ class Presentation2:
             raise ValueError("a presentation needs at least one column")
         if any(top is None and bot is None for top, bot in self.cols):
             raise ValueError("all-empty column")
+        # checked once, here: the Fitting ideals and graded counts trust them
+        for col in self.cols:
+            for e in col:
+                if e is not None:
+                    u, v = e
+                    if type(u) is not int or type(v) is not int or u < 0 or v < 0:
+                        raise ValueError(f"entries must be pairs of nonnegative ints, got {e}")
 
 
 def _checked_br(ideal: MonomialIdeal, k: int) -> int:
@@ -78,7 +85,7 @@ def fitting0(pres: Presentation2) -> MonomialIdeal:
                 gens.append(m)
     if not gens:
         raise NotMPrimary("all 2x2 minors vanish; Fitt_0 is the zero ideal")
-    return normalize(gens)
+    return unchecked_normalize(gens)
 
 
 def finite_fitting0(pres: Presentation2) -> MonomialIdeal:
@@ -92,13 +99,13 @@ def finite_fitting0(pres: Presentation2) -> MonomialIdeal:
 def fitting1(pres: Presentation2) -> MonomialIdeal:
     """Ideal generated by all nonzero matrix entries."""
     gens = [e for col in pres.cols for e in col if e is not None]
-    return normalize(gens)
+    return unchecked_normalize(gens)
 
 
 def ell_value(ideal: MonomialIdeal, k: int) -> int:
     """min{b_{r-1}, k, b_r - k}, the y-exponent of Fitt_1(M_k)."""
     br = _checked_br(ideal, k)
-    return min(ideal.bvec[-2], k, br - k)
+    return min(ideal.gens[-2][1], k, br - k)
 
 
 def _graded_columns(
@@ -150,8 +157,9 @@ def graded_colength(pres: Presentation2, fit0: MonomialIdeal | None = None) -> i
     both = [deg for deg, kind in cols if kind == 3]
     kernel = [deg for deg, kind in cols if kind == 2]
     kernel += [(max(a, c), max(b, d)) for (a, b), kind in cols if kind == 1 for c, d in both]
-    tops = normalize(deg for deg, kind in cols if kind != 2)
-    return tops.colength() + normalize((a - s[0], b - s[1]) for a, b in kernel).colength()
+    tops = unchecked_normalize(deg for deg, kind in cols if kind != 2)
+    kernel_ideal = unchecked_normalize((a - s[0], b - s[1]) for a, b in kernel)
+    return tops.colength() + kernel_ideal.colength()
 
 
 def graded_min_gens(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:

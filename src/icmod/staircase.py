@@ -9,7 +9,7 @@ pure function, so they can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import NotMPrimary, SizeBudgetExceeded
 
@@ -57,17 +57,12 @@ def _corners(best: dict[int, int]) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-def _minimal_antichain(points: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Drop every point coordinatewise-dominated by another; sort by a desc."""
-    best: dict[int, int] = {}
+def _checked(points: Iterable[Monomial]) -> Iterator[Monomial]:
+    """Each point as a pair of ints, once it is shown to be one of nonnegative integers."""
     for a, b in points:
         if a < 0 or b < 0 or a != int(a) or b != int(b):
             raise ValueError(f"exponents must be nonnegative integers, got {(a, b)}")
-        a, b = int(a), int(b)
-        cur = best.get(a)
-        if cur is None or b < cur:
-            best[a] = b
-    return _corners(best)
+        yield int(a), int(b)
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,19 @@ class MonomialIdeal:
 
 def normalize(raw: Iterable[Monomial]) -> MonomialIdeal:
     """Canonicalize a generating set; reject sets that are not m-primary."""
-    gens = _minimal_antichain(raw)
+    return unchecked_normalize(_checked(raw))
+
+
+def unchecked_normalize(points: Iterable[Monomial]) -> MonomialIdeal:
+    """`normalize` without its per-point check, for points that the library
+    derived from exponents already checked: the least b per a, then the
+    staircase, which must be m-primary."""
+    best: dict[int, int] = {}
+    for a, b in points:
+        cur = best.get(a)
+        if cur is None or b < cur:
+            best[a] = b
+    gens = _corners(best)
     if not gens:
         raise NotMPrimary("empty generating set")
     if gens[0][1] != 0:

@@ -287,6 +287,11 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and position in err
 
+    def test_non_ascii_digit_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, "normalize", "(x^², y)")
+        assert (code, out) == (1, "")
+        assert err == "error: unexpected character '²' (line 1, column 4)\n"
+
     def test_oversize_input_fails_fast(self, capsys, tmp_path):
         start = time.perf_counter()
         code, _, err = run(capsys, "closure", "(x^2,y^2)^99999999999")

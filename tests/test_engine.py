@@ -349,7 +349,7 @@ class TestCertificates:
             "verdict mismatch",
         ]
         monkeypatch.undo()
-        split = engine._split_length(zariski_factor(ideal), 1)
+        split = engine._split_length(zariski_factor(ideal).as_dict(), 1)
         monkeypatch.setattr(engine, "graded_colength", lambda pres, fit0=None: split)
         cert = choose_k(ideal)
         assert dict(cert.checks).get("length_refutes_splitting") is False

@@ -194,3 +194,91 @@ class TestFormatting:
     def test_unit_monomial(self):
         assert format_monomial((0, 0)) == "1"
         assert format_ideal(normalize([(0, 0)])) == "(1)"
+
+
+# malformed inputs, each with the message and the position it reports, kept
+# word for word by the lexer and the parser
+PINNED_PARSE_ERRORS = [
+    (parse_ideal, "", "expected an ideal, found 'end' (line 1, column 1)"),
+    (parse_ideal, "   ", "expected an ideal, found 'end' (line 1, column 4)"),
+    (parse_ideal, "(x^2,\n y^3,\n z)", "unexpected character 'z' (line 3, column 2)"),
+    (parse_ideal, "(x^2,\n\n  y)^", "expected 'int', found 'end' (line 3, column 6)"),
+    (parse_ideal, "(x, y   ", "expected ')', found 'end' (line 1, column 9)"),
+    (parse_ideal, "(x, y) \n extra\t", "unexpected character 'e' (line 2, column 2)"),
+    (parse_ideal, "closur(x)", "unexpected character 'c' (line 1, column 1)"),
+    (parse_ideal, "closure(x)", "expected an ideal, found 'x' (line 1, column 9)"),
+    (parse_ideal, "(*x, y^2)", "expected a monomial, found '*' (line 1, column 2)"),
+    (parse_ideal, "(x^3,, y)", "expected a monomial, found ',' (line 1, column 6)"),
+    (parse_ideal, "(x^2, )", "expected a monomial, found ')' (line 1, column 7)"),
+    (parse_ideal, "(x-y)", "unexpected character '-' (line 1, column 3)"),
+    (parse_ideal, "-(x, y)", "unexpected character '-' (line 1, column 1)"),
+    (parse_ideal, "(x, y)^0", "power exponent must be >= 1 (line 1, column 8)"),
+    (parse_ideal, "(x, y)^x", "expected 'int', found 'x' (line 1, column 8)"),
+    (parse_ideal, "(x, y) extra", "unexpected character 'e' (line 1, column 8)"),
+    (parse_ideal, "m^", "expected 'int', found 'end' (line 1, column 3)"),
+    (parse_ideal, "(x^, y)", "expected 'int', found ',' (line 1, column 4)"),
+    (parse_ideal, "((x, y))", "expected a monomial, found '(' (line 1, column 2)"),
+    (parse_ideal, "(x, y) * ", "expected an ideal, found 'end' (line 1, column 10)"),
+    (parse_ideal, "(x\n,\ty^3)\n*\n(", "expected a monomial, found 'end' (line 4, column 2)"),
+    (parse_ideal, "(x, y)^2^3", "trailing input starting at '^' (line 1, column 9)"),
+    (parse_ideal, "m m", "trailing input starting at 'm' (line 1, column 3)"),
+    (parse_polys, "", "expected a monomial, found 'end' (line 1, column 1)"),
+    (parse_polys, "x^", "expected 'int', found 'end' (line 1, column 3)"),
+    (parse_polys, "x^3, y^3, x+y+", "expected a monomial, found 'end' (line 1, column 15)"),
+    (parse_polys, "x^3,,y^3", "expected a monomial, found ',' (line 1, column 5)"),
+    (parse_polys, "x + + y", "expected a monomial, found '+' (line 1, column 5)"),
+    (parse_polys, "+x", "expected a monomial, found '+' (line 1, column 1)"),
+    (parse_polys, "-x + -y", "expected a monomial, found '-' (line 1, column 6)"),
+    (parse_polys, "x - - y", "expected a monomial, found '-' (line 1, column 5)"),
+    (parse_polys, "x^3 +", "expected a monomial, found 'end' (line 1, column 6)"),
+    (parse_polys, "- 2 *", "trailing input starting at '*' (line 1, column 5)"),
+    (parse_polys, "2**y", "trailing input starting at '*' (line 1, column 2)"),
+    (parse_polys, "x^3,\n y^3,\n x+", "expected a monomial, found 'end' (line 3, column 4)"),
+    (parse_polys, "x^3, y^3,  \n", "expected a monomial, found 'end' (line 2, column 1)"),
+    (parse_polys, "(x+y)", "expected a monomial, found '(' (line 1, column 1)"),
+    (parse_polys, "3x^", "expected 'int', found 'end' (line 1, column 4)"),
+    (parse_polys, "x*-y", "trailing input starting at '*' (line 1, column 2)"),
+    (parse_polys, "closure(x)", "expected a monomial, found 'closure' (line 1, column 1)"),
+    (parse_polys, "x -\n\n  -y", "expected a monomial, found '-' (line 3, column 3)"),
+    (parse_polys, "-", "expected a monomial, found 'end' (line 1, column 2)"),
+    (parse_polys, "m", "expected a monomial, found 'm' (line 1, column 1)"),
+    (parse_monomial, "", "expected a monomial, found 'end' (line 1, column 1)"),
+    (parse_monomial, "x^", "expected 'int', found 'end' (line 1, column 3)"),
+    (parse_monomial, "z", "unexpected character 'z' (line 1, column 1)"),
+    (parse_monomial, "x,y", "trailing input after monomial: ',' (line 1, column 2)"),
+    (parse_monomial, "*y", "expected a monomial, found '*' (line 1, column 1)"),
+    (parse_monomial, "x**y", "trailing input after monomial: '*' (line 1, column 2)"),
+    (parse_monomial, "x y\n  ^", "expected 'int', found 'end' (line 2, column 4)"),
+    (parse_monomial, "2x", "expected a monomial, found 'int' (line 1, column 1)"),
+    (parse_monomial, "1*x", "trailing input after monomial: '*' (line 1, column 2)"),
+    (parse_monomial, "x^-1", "unexpected character '-' (line 1, column 3)"),
+    (parse_monomial, "m", "expected a monomial, found 'm' (line 1, column 1)"),
+    (parse_monomial, "closur(x)", "unexpected character 'c' (line 1, column 1)"),
+]
+
+
+@pytest.mark.parametrize("parse, src, message", PINNED_PARSE_ERRORS)
+def test_parse_errors_are_pinned(parse, src, message):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert str(info.value) == message
+    assert f"(line {info.value.line}, column {info.value.col})" in message
+
+
+@pytest.mark.parametrize(
+    "parse, src, char, line, col",
+    [
+        (parse_ideal, "(x^², y)", "²", 1, 4),  # str.isdigit, but int() cannot read it
+        (parse_polys, "x^², y", "²", 1, 3),
+        (parse_monomial, "x^²", "²", 1, 3),
+        (parse_ideal, "(x^2²,\n y)", "²", 1, 5),
+        (parse_polys, "x,\n y^² + 1", "²", 2, 4),
+        (parse_ideal, "(x^٣, y)", "٣", 1, 4),  # a decimal digit, but not ASCII
+        (parse_monomial, "y^٣", "٣", 1, 3),
+    ],
+)
+def test_exponents_are_ascii_digits(parse, src, char, line, col):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert str(info.value) == f"unexpected character {char!r} (line {line}, column {col})"
+    assert (info.value.line, info.value.col) == (line, col)

@@ -228,9 +228,29 @@ class TestSimpleFactors:
             SimpleFactor(2, 4)
         with pytest.raises(ValueError):
             SimpleFactor(0, 1)
+        with pytest.raises(ValueError):
+            SimpleFactor(2, 3)._replace(q=4)
 
     def test_order(self):
         assert SimpleFactor(3, 2).order == 2
+
+    def test_ordered_and_hashed_by_the_pair(self):
+        pairs = [(3, 2), (1, 4), (2, 3), (1, 1), (3, 1)]
+        factors = [SimpleFactor(p, q) for p, q in pairs]
+        assert sorted(factors) == [SimpleFactor(p, q) for p, q in sorted(pairs)]
+        twin = SimpleFactor(3, 2)
+        assert twin == factors[0] and twin is not factors[0]
+        assert hash(twin) == hash(factors[0]) and len({*factors, twin}) == len(factors)
+        assert (twin.p, twin.q, repr(twin)) == (3, 2, "SimpleFactor(p=3, q=2)")
+
+    def test_from_counts_sorts_by_descending_p_then_q(self):
+        shuffled = ((1, 2, 1), (3, 2, 2), (1, 1, 1), (3, 1, 0))
+        counts = {SimpleFactor(p, q): m for p, q, m in shuffled}
+        assert Factorization.from_counts(counts).factors == (
+            (SimpleFactor(3, 2), 2),
+            (SimpleFactor(1, 1), 1),
+            (SimpleFactor(1, 2), 1),
+        )
 
     def test_simple_ideal_is_simple(self):
         for f in (SimpleFactor(2, 3), SimpleFactor(1, 4)):

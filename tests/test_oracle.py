@@ -31,6 +31,7 @@ from icmod import (
     verify_certificate,
 )
 from icmod.oracle import (
+    _box_ends,
     _box_ranks,
     _box_row_count,
     _incidence_rank,
@@ -118,21 +119,23 @@ class TestModuleOracles:
 
 
 def box_rows_by_multiples(pres, a, b):
-    """Every monomial multiple x^c y^d of every column, with the entries that
-    fall outside the box c <= a, d <= b dropped, as sets of positions, in one
-    pass over the box: the multiples by m (the rows of mM), and the columns."""
+    """Every monomial multiple x^c y^d of every column that keeps an entry in
+    the box c <= a, d <= b, with the entries that fall outside it dropped, as
+    sets of positions: the multiples by m (the rows of mM), and the columns.
+    An entry x^u y^v stays in the box for the (c, d) of its rectangle
+    c <= a - u, d <= b - v, so each entry visits only that rectangle."""
     width, block = a + 1, (a + 1) * (b + 1)
     shifted, columns = [], []
     for col in pres.cols:
-        for c in range(a + 1):
-            for d in range(b + 1):
-                row = {
-                    coord * block + (e[1] + d) * width + e[0] + c
-                    for coord, e in enumerate(col)
-                    if e is not None and e[0] + c <= a and e[1] + d <= b
-                }
-                if row:
-                    (shifted if c + d else columns).append(row)
+        rows = {}
+        for coord, e in enumerate(col):
+            if e is not None:
+                for c in range(a - e[0] + 1):
+                    for d in range(b - e[1] + 1):
+                        position = coord * block + (e[1] + d) * width + e[0] + c
+                        rows.setdefault((c, d), set()).add(position)
+        for (c, d), row in sorted(rows.items()):
+            (shifted if c + d else columns).append(row)
     return shifted, columns
 
 
@@ -235,7 +238,7 @@ class TestIncidenceRank:
         cases += [shaped_presentation(rng, shape) for shape in SHAPES for _ in range(60)]
         for pres, a, b in cases:
             count = sum(map(len, box_rows_by_multiples(pres, a, b)))
-            assert _box_row_count(pres, a, b) == count, (pres, a, b)
+            assert _box_row_count(_box_ends(pres, a, b)) == count, (pres, a, b)
 
     def test_a_union_find_fault_is_caught(self, monkeypatch, full_enumeration):
         # the oracle ranks its box with the union-find alone; an off-by-one

@@ -60,6 +60,12 @@ class TestBuild:
         with pytest.raises(ValueError):
             Presentation2(((None, None),))
 
+    @pytest.mark.parametrize("entry", [(-1, 0), (0, -2), (1.0, 0), (1, "y"), (1, 2, 3)])
+    def test_entries_are_pairs_of_nonnegative_ints(self, entry):
+        # what the Fitting ideals derive from the entries is not checked again
+        with pytest.raises(ValueError):
+            Presentation2((((1, 0), entry), ((0, 1), None)))
+
 
 class TestFittingIdeals:
     def test_minors_reproduce_ideal(self):

@@ -72,6 +72,8 @@ class TestNormalize:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             normalize([(2, 0), (0, -1)])
+        with pytest.raises(ValueError):
+            normalize([(2, 0), (0, 1.5)])
 
     @given(random_ideals())
     def test_idempotent(self, ideal):
