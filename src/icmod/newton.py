@@ -61,9 +61,6 @@ class Factorization:
     def as_dict(self) -> dict[SimpleFactor, int]:
         return dict(self.factors)
 
-    def multiplicity(self, f: SimpleFactor) -> int:
-        return self.as_dict().get(f, 0)
-
     def remove(self, f: SimpleFactor) -> "Factorization":
         counts = Counter(self.as_dict())
         if counts[f] < 1:

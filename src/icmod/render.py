@@ -3,7 +3,9 @@
 Fixed scale of 24 px per lattice unit with a one-unit margin; no timestamps
 and no randomness, so identical inputs give byte-identical files.  Every
 coordinate is an integer number of pixels and is written as one.  A figure
-draws a_0 + b_r + 2 axis ticks, which must not exceed `MAX_OUTPUT_SIZE`.
+draws a_0 + b_r + 2 axis ticks, which must not exceed `MAX_OUTPUT_SIZE`, and
+`svg_batches` gives it as pieces of text, one batch per thousand of tick
+coordinates, so that a writer never holds all of it.
 """
 
 from __future__ import annotations
@@ -23,24 +25,45 @@ _VERTEX_FILL = "#000000"
 _EDGE_STROKE = "#b02418"
 _AXIS = "#404040"
 
-
-# tick lines per batch of `svg_batches`: a generator step per line made a
-# wide figure 12-15 % slower to build than one list, and joining each batch
-# into one string raised the `ideal_algebra` benchmark's peak RSS by 6 MB
-_TICKS_PER_BATCH = 256
+# last three digits of a tick coordinate: formatting an int with "03d" costs
+# three times as much as reading it here
+_SUFFIXES = tuple(f"{t:03d}" for t in range(1000))
 
 
 def _ticks(head: str, middle: str, tail: str, coords: range) -> Iterator[list[str]]:
-    """One tick line per coordinate c, head + c + middle + c + tail, in batches
-    of `_TICKS_PER_BATCH`."""
-    for i in range(0, len(coords), _TICKS_PER_BATCH):
-        yield [f"{head}{c}{middle}{c}{tail}\n" for c in coords[i : i + _TICKS_PER_BATCH]]
+    """One tick line per coordinate c, head + c + middle + c + tail, as pieces
+    of text, one batch per thousand h = c // 1000.
+
+    The lines of a thousand h >= 1 differ only in the last three digits of
+    c, which the first suffix and the count fix: one template per (first
+    suffix, count), split at NULs where the digits of h go and interleaved
+    with one shared str(h), so no object is made per tick.  Joined thousands
+    raised the benchmark's peak RSS; a generator step per piece was slower.
+    """
+    step = coords.step
+    templates: dict[tuple[int, int], list[str]] = {}
+    i, n = 0, len(coords)
+    while i < n:
+        h, s = divmod(coords[i], 1000)
+        k = min(n - i, (999 - s) // step + 1 if step > 0 else s // -step + 1)
+        if h < 1:
+            yield [f"{head}{c}{middle}{c}{tail}\n" for c in coords[i : i + k]]
+        else:
+            cut = templates.get((s, k))
+            if cut is None:
+                cut = templates[s, k] = "".join(
+                    [f"{head}\0{d}{middle}\0{d}{tail}\n" for d in _SUFFIXES[s::step][:k]]
+                ).split("\0")
+            batch = [str(h)] * (2 * len(cut) - 1)
+            batch[::2] = cut
+            yield batch
+        i += k
 
 
 def svg_batches(ideal: MonomialIdeal) -> Iterator[list[str]]:
-    """The figure's lines, each ending in a newline, in batches, so that a
-    caller can write it without holding all of it; the budget and the Newton
-    polygon are checked before the first batch."""
+    """The figure as pieces of text, one batch per thousand of tick
+    coordinates, so that a caller can write it without holding all of it; the
+    budget and the Newton polygon are checked before the first batch."""
     xmax = ideal.a0 + 1
     ymax = ideal.br + 1
     within_budget("figure", xmax + ymax, "axis ticks", MAX_OUTPUT_SIZE)
@@ -103,5 +126,5 @@ def svg_batches(ideal: MonomialIdeal) -> Iterator[list[str]]:
 
 
 def render_svg(ideal: MonomialIdeal) -> str:
-    """The whole figure as one string: the lines of `svg_batches` joined."""
+    """The whole figure as one string: the pieces of `svg_batches` joined."""
     return "".join(chain.from_iterable(svg_batches(ideal)))

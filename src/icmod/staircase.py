@@ -22,7 +22,7 @@ Monomial = tuple[int, int]
 # under 1 MB, and two staircases whose million sums are all distinct take
 # 0.12 s and 110 MB.  A closure emits 1 + sum of min(dp, dq) over its hull
 # edges corners (that of (x^999999, y^999999) takes 0.14 s and 140 MB), a
-# figure draws a_0 + b_r + 2 axis ticks (an 85 MB figure in 0.3 s and 230 MB),
+# figure draws a_0 + b_r + 2 axis ticks (an 85 MB figure in 0.2 s and 130 MB),
 # the module oracles count the 2(a_0 + 1)(b_r + 1) positions of their box and
 # its rows, one per monomial multiple of a column left in the box (at k = 1,
 # (x^140000, x*y, y^2) has 840,006 positions and 980,012 rows: 0.35 s and

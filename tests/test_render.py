@@ -1,4 +1,6 @@
 import hashlib
+import random
+from itertools import chain
 
 import pytest
 
@@ -9,6 +11,7 @@ from icmod import (
     parse_ideal,
     render_svg,
 )
+from icmod.render import _ticks
 
 STAIR_A = normalize([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7)])
 
@@ -69,3 +72,26 @@ def test_golden_digest():
     assert digest.hexdigest() == (
         "9cab941e075f47ea39c73044b9ddcddc28aa4164318e6bdbff0a38f3de922831"
     )
+
+
+def test_ticks_match_their_formula():
+    # the per-thousand templates give the plain formula's lines for ascending
+    # and descending ranges of any step, starts below 1000, ends anywhere in a
+    # thousand and empty ranges
+    rng = random.Random(19)
+    head, middle, tail = '<line x1="', '" y1="3" x2="', '"/>'
+    for step in (1, 7, 24, 1000, 1500):
+        for _ in range(40):
+            lo, hi = sorted(rng.sample(range(12000), 2))
+            low = lo % 1000
+            for coords in (
+                range(lo, hi, step),
+                range(low, hi, step),
+                range(hi, lo, -step),
+                range(hi, low, -step),
+                range(low, 0, -step),
+                range(hi, lo, step),
+                range(lo, hi, -step),
+            ):
+                got = "".join(chain.from_iterable(_ticks(head, middle, tail, coords)))
+                assert got == "".join(f"{head}{c}{middle}{c}{tail}\n" for c in coords)
