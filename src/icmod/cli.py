@@ -34,7 +34,14 @@ from .oracle import (
     module_min_gens,
     poly_ideal_colength,
 )
-from .presentation import Presentation2, build_Mk, fitting0, fitting1, graded_min_gens
+from .presentation import (
+    Presentation2,
+    build_Mk,
+    fitting0,
+    fitting1,
+    graded_colength,
+    graded_min_gens,
+)
 from .render import svg_batches
 from .staircase import MonomialIdeal, normalize
 
@@ -262,6 +269,8 @@ def _selftest_cases():
             matrix = build_Mk(oriented, k)
             mu = module_min_gens(matrix)
             if fitting0(matrix) != oriented or not graded_min_gens(matrix) == mu == r + 2:
+                sweep_ok = False
+            if module_colength(matrix) != graded_colength(matrix):
                 sweep_ok = False
     yield ("mini sweep over bounds (3,4)", sweep_ok)
 

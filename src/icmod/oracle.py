@@ -7,12 +7,19 @@ M (Eisenbud, GTM 150, Prop. 20.7), and x^a_0, y^b_r lie in I, so B =
 monomials x^c y^d, c <= a_0, d <= b_r, in each coordinate, and there
 dim M/mM = rank(M) - rank(mM) and length(F/M) = dim(F/BF) - rank(M).  The
 rows are the monomial multiples of the columns reduced mod BF, with entries
-1, so they are the incidence rows of a graph, and an integer union-find ranks
-them (Godsil-Royle, GTM 207, Sec. 8.2), the one-entry rows in bulk.  Nothing
-is read from the graded counts: the tests rank the same rows by the exact
-rational elimination `_rank` as the reference, and the certificate verifier
-compares the oracle with the graded counts of the decision.  Lengths of
-polynomial ideals are ranks over truncations R / m^N, by `_rank`.
+1, so they are the incidence rows of a graph (Godsil-Royle, GTM 207, Sec.
+8.2), and their rank is counted.  A row left with one entry joins its
+position to the ground.  A row that keeps both entries of a column (t, b)
+joins z to z + gap, where the gap between the positions of t and b depends
+only on the shift t - b.  Every two-entry column has the same shift, as a
+second one puts a binomial minor in Fitt_0 (`presentation._graded_columns`),
+so those rows form a matching, and ground edges plus a matching have rank
+|G| + |D| - #{z in D : z, z + gap in G}, G the grounded positions and D the
+matched z: an edge of the matching closes a cycle only through the ground.
+Nothing is read from the graded counts: the tests rank the same rows by the
+exact rational elimination `_rank` as the reference, and the certificate
+verifier compares the oracle with the graded counts of the decision.
+Lengths of polynomial ideals are ranks over truncations R / m^N, by `_rank`.
 
 The integral-closure oracle here deliberately avoids the Newton polygon: it
 tests membership of powers m^n in I^n, which is what the closure machinery is
@@ -23,7 +30,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalInconsistency, NotFiniteColength
@@ -34,6 +40,7 @@ from .staircase import MAX_OUTPUT_SIZE, Monomial, MonomialIdeal, within_budget
 # polynomial term: (coefficient, x-exponent, y-exponent)
 Term = tuple[int, int, int]
 Poly = Sequence[Term]
+BoxEnd = tuple[int, int, int]  # the module oracle's box: position, x and y reach
 
 
 def truncation_margin() -> int:
@@ -75,74 +82,52 @@ def _rank(rows: Iterable[dict[int, int | Fraction]]) -> int:
     return len(pivots)
 
 
-def _box_ends(pres: Presentation2, a: int, b: int) -> Iterator[list[tuple[int, int, int]]]:
-    """For each column, the entries that lie in the box c <= a, d <= b of F:
-    each as its position and how far x and y can move it inside the box.
+def _box_ends(pres: Presentation2, a: int, b: int) -> tuple[set[tuple[BoxEnd, ...]], int]:
+    """The distinct columns, each as its entries that lie in the box c <= a,
+    d <= b of F, and the number of rows the box holds.
 
+    An entry is its position and how far x and y can move it inside the box:
     x^c y^d in coordinate `coord` sits at coord * block + d * (a + 1) + c,
-    block = (a + 1)(b + 1).
+    block = (a + 1)(b + 1).  The multiples of a column that keep an entry in
+    the box form a rectangle anchored at x^0 y^0, and a two-entry column's
+    multiples are the union of its two rectangles.  A repeated column counts
+    its rows again but is kept once, since it adds no rank.
     """
     width = a + 1
     block = width * (b + 1)
-    for col in pres.cols:
-        yield [
-            (coord * block + e[1] * width + e[0], a - e[0], b - e[1])
-            for coord, e in enumerate(col)
-            if e is not None and e[0] <= a and e[1] <= b
-        ]
-
-
-def _box_row_count(box_ends: Iterable[list[tuple[int, int, int]]]) -> int:
-    """How many rows the box of `box_ends` holds: the multiples of a column
-    that keep an entry in the box form a rectangle anchored at x^0 y^0, and a
-    two-entry column's multiples are the union of its two rectangles."""
-    count = 0
-    for ends in box_ends:
-        count += sum((w + 1) * (h + 1) for _, w, h in ends)
+    distinct = set()
+    rows = 0
+    for top, bottom in pres.cols:
+        ends = ()
+        if top is not None and top[0] <= a and top[1] <= b:
+            ends = ((top[1] * width + top[0], a - top[0], b - top[1]),)
+        if bottom is not None and bottom[0] <= a and bottom[1] <= b:
+            ends += ((block + bottom[1] * width + bottom[0], a - bottom[0], b - bottom[1]),)
+        for _, w, h in ends:
+            rows += (w + 1) * (h + 1)
         if len(ends) == 2:
             (_, w1, h1), (_, w2, h2) = ends
-            count -= (min(w1, w2) + 1) * (min(h1, h2) + 1)
-    return count
+            rows -= (min(w1, w2) + 1) * (min(h1, h2) + 1)
+        distinct.add(ends)
+    return distinct, rows
 
 
-def _mark_ground(
-    parent: list[int], p: int, width: int, pc: int, pd: int, mc: int, md: int
-) -> None:
-    """Join to the ground, the last position of `parent`, every p + d * width
-    + c with c <= pc, d <= pd outside the corner c <= mc, d <= md: one slice
-    per rectangle row.  Only on a fresh `parent`, where every position is its
-    own root."""
-    ground = len(parent) - 1
-    for d in range(pd + 1):
-        row = p + d * width
-        lo = row + (mc + 1 if d <= md else 0)
-        parent[lo : row + pc + 1] = [ground] * (row + pc + 1 - lo)
+def _rectangle(width: int, w: int, h: int) -> int:
+    """The bits d * width + c with c <= w, d <= h: one row of w + 1 bits,
+    doubled until it has h + 1 rows or more, then cut to h + 1."""
+    mask, rows = (1 << w + 1) - 1, 1
+    while rows <= h:
+        mask |= mask << rows * width
+        rows *= 2
+    return mask & (1 << (h + 1) * width) - 1
 
 
-def _incidence_rank(rows: Iterable[tuple[int, int]], parent: list[int]) -> int:
-    """Rank over Q of box rows given as pairs of positions, in integers only.
-
-    The two entries of a row lie in different coordinates, so with the second
-    coordinate's sign flipped a row is the edge e_i - e_j of a bipartite
-    graph on the positions, and a one-entry row is the edge from its position
-    to the ground, the last position of the union-find `parent`.  The rank of
-    a graph's edge vectors is the number of edges that join two components,
-    so the result is the rank these rows add to those already joined there.
-    """
-    added = 0
-    for i, j in rows:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        if i != j:
-            # either root may win without changing the count; the larger does
-            if i < j:
-                parent[i] = j
-            else:
-                parent[j] = i
-            added += 1
-    return added
+def _graph_rank(ground: int, matched: int, gap: int) -> int:
+    """Rank of the edges from the positions of `ground` to the ground and
+    from each z of `matched` to z + gap, all of them one bit per position.
+    The second kind is a matching, so each of its edges adds 1 unless both
+    ends already reach the ground."""
+    return ground.bit_count() + matched.bit_count() - (matched & ground & ground >> gap).bit_count()
 
 
 def _box_ranks(pres: Presentation2, a: int, b: int) -> tuple[int, int, int]:
@@ -150,37 +135,38 @@ def _box_ranks(pres: Presentation2, a: int, b: int) -> tuple[int, int, int]:
 
     The rows of mM are the multiples x^c y^d != 1 of the columns mod BF, B =
     (x^(a+1), y^(b+1)), where an entry outside the box is 0.  Those left with
-    one entry join it to the ground, marked first on the fresh union-find, so
-    their rank is the number of positions marked.  The multiples that keep
-    both entries, then the columns, follow through `_incidence_rank`: a rank
-    does not depend on the order of the edges.  The box's positions and rows
-    count against `MAX_OUTPUT_SIZE` first.
+    one entry join it to the ground: each multiple of a one-entry column,
+    and each multiple of a two-entry column outside the corner c <= min(pc,
+    qc), d <= min(pd, qd) where both entries stay.  The corner's multiples
+    join p + o to q + o, o = d(a + 1) + c, a gap q - p that is the same for
+    every two-entry column (module docstring), so they form a matching.  The
+    box's positions and rows count against `MAX_OUTPUT_SIZE` first.
     """
     width = a + 1
     dim = 2 * width * (b + 1)
     within_budget("module oracle box", dim, "index entries", MAX_OUTPUT_SIZE)
-    box_ends = list(_box_ends(pres, a, b))
-    within_budget("module oracle box", _box_row_count(box_ends), "rows", MAX_OUTPUT_SIZE)
-    parent = list(range(dim + 1))
-    both = []  # the multiples that keep both entries, one zip per rectangle row
-    columns = []
-    for ends in box_ends:
+    distinct, rows = _box_ends(pres, a, b)
+    within_budget("module oracle box", rows, "rows", MAX_OUTPUT_SIZE)
+    ground = matched = ground_columns = matched_columns = 0
+    gaps = set()
+    for ends in distinct:
         if len(ends) == 1:
             ((p, pc, pd),) = ends
-            # every multiple but the column itself, at c = d = 0
-            _mark_ground(parent, p, width, pc, pd, 0, 0)
-            columns.append((p, dim))
+            ground |= (_rectangle(width, pc, pd) ^ 1) << p
+            ground_columns |= 1 << p
         elif ends:
             (p, pc, pd), (q, qc, qd) = ends
-            mc, md = min(pc, qc), min(pd, qd)
-            _mark_ground(parent, p, width, pc, pd, mc, md)
-            _mark_ground(parent, q, width, qc, qd, mc, md)
-            for d in range(md + 1):
-                start, stop = d * width + (0 if d else 1), d * width + mc + 1
-                both.append(zip(range(p + start, p + stop), range(q + start, q + stop)))
-            columns.append((p, q))
-    shifted = parent.count(dim) - 1 + _incidence_rank(chain.from_iterable(both), parent)
-    return dim, shifted, shifted + _incidence_rank(columns, parent)
+            corner = _rectangle(width, min(pc, qc), min(pd, qd))
+            ground |= (_rectangle(width, pc, pd) ^ corner) << p
+            ground |= (_rectangle(width, qc, qd) ^ corner) << q
+            matched |= (corner ^ 1) << p
+            matched_columns |= 1 << p
+            gaps.add(q - p)
+    if len(gaps) > 1:
+        raise InternalInconsistency(f"two-entry columns of different shifts: gaps {sorted(gaps)}")
+    gap = gaps.pop() if gaps else 0
+    shifted = _graph_rank(ground, matched, gap)
+    return dim, shifted, _graph_rank(ground | ground_columns, matched | matched_columns, gap)
 
 
 def module_colength(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:

@@ -50,5 +50,5 @@ def full_enumeration():
 
 
 @pytest.fixture(scope="session")
-def enumeration_8_10():
-    return list(enumerate_complete(8, 10))
+def enumeration_10_12():
+    return list(enumerate_complete(10, 12))

@@ -115,9 +115,9 @@ def test_criterion_05_fitting_sweep(capsys, full_enumeration):
         )
 
 
-def test_criterion_06_decision_totality(capsys, enumeration_8_10):
+def test_criterion_06_decision_totality(capsys, enumeration_10_12):
     decided = 0
-    for ideal in enumeration_8_10:
+    for ideal in enumeration_10_12:
         r = ideal.order()
         if r < 2 or (r == 2 and ideal.member((1, 1))):
             continue
@@ -129,9 +129,9 @@ def test_criterion_06_decision_totality(capsys, enumeration_8_10):
         assert cert.verdict == Verdict.INDECOMPOSABLE, (ideal, cert.verdict)
         assert verify_certificate(cert), (ideal, certificate_diff(cert))
         decided += 1
-    assert decided == 1715
+    assert decided == 7770
     with capsys.disabled():
-        report(6, f"{decided} ideals of (8,10) decided, all certificates verify")
+        report(6, f"{decided} ideals of (10,12) decided, all certificates verify")
 
 
 def test_criterion_07_products_stay_complete(capsys, full_enumeration):

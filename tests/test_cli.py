@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from icmod import format_ideal, parse_ideal, render_svg
+from icmod import format_ideal, module_colength, parse_ideal, render_svg
 from icmod.cli import main
 from icmod.expr import format_monomial
 
@@ -252,6 +252,11 @@ class TestOtherCommands:
         assert code == 0 and list(json.loads(doc)) == ["checks"]
         assert [f"[PASS] {c['name']}" for c in checks] == out.splitlines()[:-1]
         assert all(c["pass"] is True for c in checks)
+
+    def test_selftest_compares_the_module_lengths(self, capsys, monkeypatch):
+        monkeypatch.setattr("icmod.cli.module_colength", lambda pres: module_colength(pres) + 1)
+        code, out, _ = run(capsys, "selftest")
+        assert code == 1 and "[FAIL] mini sweep over bounds (3,4)" in out
 
     def test_selftest_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -9,7 +9,9 @@ import pytest
 
 from icmod import (
     Factorization,
+    InternalInconsistency,
     MonomialIdeal,
+    NonMonomialMinor,
     NotFiniteColength,
     Presentation2,
     SizeBudgetExceeded,
@@ -33,8 +35,6 @@ from icmod import (
 from icmod.oracle import (
     _box_ends,
     _box_ranks,
-    _box_row_count,
-    _incidence_rank,
     _primitive_pairs,
     _rank,
     ideal_as_polys,
@@ -140,17 +140,13 @@ def box_rows_by_multiples(pres, a, b):
 
 
 def assert_kernels_agree(pres, a, b):
-    """`_box_ranks` reads the ranks of mM and of M that the rational
+    """`_box_ranks` counts the ranks of mM and of M that the rational
     elimination gives the brute-force box rows (integer rows, which
-    `TestRank` checks against `Fraction` rows), and the union-find alone, fed
-    the same rows one by one with the ground as the second entry of a
-    one-entry row, ranks M so too."""
+    `TestRank` checks against `Fraction` rows)."""
     dim = 2 * (a + 1) * (b + 1)
     shifted_rows, columns = box_rows_by_multiples(pres, a, b)
     rows = shifted_rows + columns
     shifted, full = (_rank(dict.fromkeys(row, 1) for row in part) for part in (shifted_rows, rows))
-    pairs = [(*sorted(row), dim)[:2] for row in rows]
-    assert _incidence_rank(pairs, list(range(dim + 1))) == full, (pres, a, b)
     assert _box_ranks(pres, a, b) == (dim, shifted, full), (pres, a, b)
 
 
@@ -159,9 +155,24 @@ def assert_fitting_box_agrees(pres):
     assert_kernels_agree(pres, ideal.a0, ideal.br)
 
 
+def two_entry_column(rng, shift, reach):
+    """A random column (top, bottom) with top - bottom = `shift`.  Fitt_0 is
+    monomial only when every two-entry column has the same shift (see
+    `presentation._graded_columns`), so the presentations here share one."""
+    u, v = rng.randint(0, reach), rng.randint(0, reach)
+    s, t = shift
+    return (u + max(s, 0), v + max(t, 0)), (u + max(-s, 0), v + max(-t, 0))
+
+
+def random_shift(rng):
+    return rng.randint(-3, 3), rng.randint(-3, 3)
+
+
 def random_presentation(rng):
-    """Up to six columns of random monomials or blanks, some repeated; the
-    exponents reach past the boxes they are ranked in."""
+    """Up to six columns of random monomials or blanks, some repeated, the
+    two-entry ones of one shift; the exponents reach past the boxes they are
+    ranked in."""
+    shift = random_shift(rng)
 
     def entry():
         return (rng.randint(0, 6), rng.randint(0, 6)) if rng.random() < 0.8 else None
@@ -171,6 +182,8 @@ def random_presentation(rng):
         col = (entry(), entry())
         if col == (None, None):
             col = ((0, rng.randint(0, 3)), None)
+        elif None not in col:
+            col = two_entry_column(rng, shift, 6)
         cols += [col] * rng.choice((1, 1, 1, 2))
     return Presentation2(tuple(cols))
 
@@ -180,11 +193,12 @@ SHAPES = ("one_entry", "shifts", "outside", "thin", "repeated")
 
 def shaped_presentation(rng, shape):
     """A presentation and a box (a, b) of one shape: only one-entry columns;
-    two-entry columns of different shifts top - bottom; exponents far past
-    the box, so that many columns keep one entry or none; a = 0 or b = 0;
-    every column repeated."""
+    at least two two-entry columns; exponents far past the box, so that many
+    columns keep one entry or none; a = 0 or b = 0; every column repeated.
+    The two-entry columns share one shift top - bottom."""
     a, b = rng.randint(0, 6), rng.randint(0, 6)
     reach = 12 if shape == "outside" else 6
+    shift = random_shift(rng)
     if shape == "thin":
         a, b = rng.choice(((0, b), (a, 0), (0, 0)))
 
@@ -196,10 +210,9 @@ def shaped_presentation(rng, shape):
         if shape == "one_entry" or rng.random() < 0.3:
             cols.append((mono(), None) if rng.random() < 0.5 else (None, mono()))
         else:
-            cols.append((mono(), mono()))
+            cols.append(two_entry_column(rng, shift, reach))
     if shape == "shifts":
-        # at least two two-entry columns, each with its own shift
-        cols += [((u + du, v + dv), (u, v)) for (u, v), du, dv in [(mono(), 1, 0), (mono(), 0, 2)]]
+        cols += [two_entry_column(rng, shift, reach) for _ in range(2)]
     if shape == "repeated":
         cols = [col for col in cols for _ in range(rng.randint(2, 3))]
     rng.shuffle(cols)
@@ -238,12 +251,45 @@ class TestIncidenceRank:
         cases += [shaped_presentation(rng, shape) for shape in SHAPES for _ in range(60)]
         for pres, a, b in cases:
             count = sum(map(len, box_rows_by_multiples(pres, a, b)))
-            assert _box_row_count(_box_ends(pres, a, b)) == count, (pres, a, b)
+            assert _box_ends(pres, a, b)[1] == count, (pres, a, b)
 
-    def test_a_union_find_fault_is_caught(self, monkeypatch, full_enumeration):
-        # the oracle ranks its box with the union-find alone; an off-by-one
-        # there is caught by the verifier, which compares the oracle's mu with
-        # the graded count, and by the rational reference of these tests
+    def test_mixed_shifts_are_refused(self):
+        # two two-entry columns of shifts (1, 0) and (0, 1) in the box: the
+        # count needs one gap, and Fitt_0 holds the binomial minor x - y
+        pres = Presentation2((((1, 0), (0, 0)), ((0, 1), (0, 0)), ((2, 0), None)))
+        with pytest.raises(InternalInconsistency, match="different shifts"):
+            _box_ranks(pres, 2, 2)
+        for oracle in (module_min_gens, module_colength):
+            with pytest.raises(NonMonomialMinor):
+                oracle(pres)
+
+    def test_identical_columns_count_once(self):
+        # the far corner of a 700 x 700 box, 20,000 times: every copy adds
+        # three rows and no rank, and the count is the one column's
+        column = ((699, 698), (698, 699))
+        small = Presentation2((((5, 4), (4, 5)),) * 200)
+        assert_kernels_agree(small, 5, 5)
+        copies = Presentation2((column,) * 20000)
+        start = time.perf_counter()
+        ranks = _box_ranks(copies, 699, 699)
+        assert time.perf_counter() - start < 0.5
+        assert ranks == _box_ranks(Presentation2((column,)), 699, 699) == (980000, 2, 3)
+        assert _box_ends(copies, 699, 699)[1] == 60000
+
+    def test_long_box_near_the_cap(self):
+        # 840,006 positions and 980,012 rows, counted with a few shifts of
+        # box-wide masks
+        start = time.perf_counter()
+        pres = build_Mk(normalize([(140000, 0), (1, 1), (0, 2)]), 1)
+        assert module_min_gens(pres) == 4
+        assert module_colength(pres) == 140000
+        assert time.perf_counter() - start < 0.5
+
+    def test_a_box_count_fault_is_caught(self, monkeypatch, full_enumeration):
+        # the oracle counts the ranks of its box; a count that misses one
+        # rank of mM, so that mu comes out one more, is caught by the
+        # verifier, which compares the oracle's mu with the graded count, and
+        # by the rational reference of these tests
         certs = [
             choose_k(ideal)
             for ideal in full_enumeration
@@ -251,10 +297,15 @@ class TestIncidenceRank:
         ]
         assert len(certs) == 327 and all(verify_certificate(c) for c in certs)
 
-        def incidence_off_by_one(*args, **kwargs):
-            return _incidence_rank(*args, **kwargs) + 1
+        count = _box_ranks
 
-        monkeypatch.setattr("icmod.oracle._incidence_rank", incidence_off_by_one)
+        def count_off_by_one(pres, a, b):
+            dim, shifted, full = count(pres, a, b)
+            return dim, shifted - 1, full
+
+        # in the oracle, and in the reference comparison of this module
+        monkeypatch.setattr("icmod.oracle._box_ranks", count_off_by_one)
+        monkeypatch.setitem(globals(), "_box_ranks", count_off_by_one)
         for cert in certs:
             assert not verify_certificate(cert), cert.input
             assert "checks mismatch: min_gens_equals_r_plus_2" in certificate_diff(cert)
