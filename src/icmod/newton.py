@@ -61,6 +61,13 @@ class Factorization:
     def as_dict(self) -> dict[SimpleFactor, int]:
         return dict(self.factors)
 
+    def colength(self) -> int:
+        """Colength of the product, (e + sum of n (p + q - 1)) / 2 with e = sum of n n' min(p q',
+        p' q) over ordered pairs of factors, its multiplicity (Hoskin-Deligne; Huneke-Swanson)."""
+        fs = self.factors
+        e = sum(n * m * min(p * s, r * q) for (p, q), n in fs for (r, s), m in fs)
+        return (e + sum(n * (p + q - 1) for (p, q), n in fs)) // 2
+
     def remove(self, f: SimpleFactor) -> "Factorization":
         counts = Counter(self.as_dict())
         if counts[f] < 1:

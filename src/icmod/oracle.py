@@ -19,7 +19,7 @@ matched z: an edge of the matching closes a cycle only through the ground.
 Nothing is read from the graded counts: the tests rank the same rows by the
 exact rational elimination `_rank` as the reference, and the certificate
 verifier compares the oracle with the graded counts of the decision.
-Lengths of polynomial ideals are ranks over truncations R / m^N, by `_rank`.
+Lengths of polynomial ideals are ranks over truncations R / m^N, by `_pivots`.
 
 The integral-closure oracle here deliberately avoids the Newton polygon: it
 tests membership of powers m^n in I^n, which is what the closure machinery is
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import InternalInconsistency, NotFiniteColength
 from .newton import SimpleFactor, simple_ideal
@@ -51,17 +51,14 @@ def truncation_margin() -> int:
     return 0
 
 
-def _rank(rows: Iterable[dict[int, int | Fraction]]) -> int:
-    """Rank over Q of sparse rows of `int` or `Fraction` entries, by exact
-    elimination.  Each pivot is scaled to lead 1, so integer rows stay
-    integers until a pivot's lead is not 1, and only that pivot becomes
-    `Fraction`s.
-    """
+def _pivots(rows: Iterable[dict[int, int | Fraction]]) -> Collection[int]:
+    """Pivot positions of sparse `int` or `Fraction` rows by exact elimination over Q: each is
+    its row's least position, scaled to lead 1, so only a lead other than 1 makes `Fraction`s."""
     pivots: dict[int, dict[int, int | Fraction]] = {}
     for row in rows:
         work = dict(row)
         while work:
-            lead = max(work)
+            lead = min(work)
             pivot = pivots.get(lead)
             if pivot is None:
                 coef = work[lead]
@@ -79,7 +76,11 @@ def _rank(rows: Iterable[dict[int, int | Fraction]]) -> int:
                     work[c] = nv
                 else:
                     work.pop(c, None)
-    return len(pivots)
+    return pivots.keys()
+
+
+def _rank(rows: Iterable[dict[int, int | Fraction]]) -> int:
+    return len(_pivots(rows))  # the rank over Q
 
 
 def _box_ends(pres: Presentation2, a: int, b: int) -> tuple[set[tuple[BoxEnd, ...]], int]:
@@ -169,19 +170,19 @@ def _box_ranks(pres: Presentation2, a: int, b: int) -> tuple[int, int, int]:
     return dim, shifted, _graph_rank(ground | ground_columns, matched | matched_columns, gap)
 
 
-def module_colength(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:
+def module_colength(pres: Presentation2, fit0: MonomialIdeal | None = None, count=None) -> int:
     """Length of R^2 / M: dim F/BF - rank(M), with B from Fitt_0, read from
-    `fit0` when the caller has it."""
+    `fit0` when the caller has it; `count` stands in for `_box_ranks`."""
     ideal = finite_fitting0(pres) if fit0 is None else fit0
-    dim, _, full = _box_ranks(pres, ideal.a0, ideal.br)
+    dim, _, full = (count or _box_ranks)(pres, ideal.a0, ideal.br)
     return dim - full
 
 
-def module_min_gens(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:
+def module_min_gens(pres: Presentation2, fit0: MonomialIdeal | None = None, count=None) -> int:
     """Minimal number of generators: dim M/mM = rank(M) - rank(mM) in F/BF,
-    with B from Fitt_0, read from `fit0` when the caller has it."""
+    B and `count` as in `module_colength`."""
     ideal = finite_fitting0(pres) if fit0 is None else fit0
-    _, shifted, full = _box_ranks(pres, ideal.a0, ideal.br)
+    _, shifted, full = (count or _box_ranks)(pres, ideal.a0, ideal.br)
     return full - shifted
 
 
@@ -212,12 +213,14 @@ def poly_ideal_colength(gens: Sequence[Poly]) -> int:
     """Length of R / (gens) for sparse polynomial generators, e.g. with x+y.
 
     The truncation degree grows until two truncations in a row agree (then
-    m^n lies in the ideal by Nakayama), up to degree 64.  When single-term
-    generators include x^a and y^b, m^(a+b-1) lies in the ideal, so the
-    truncation at a + b - 1 is exact: the search runs past 64 and stops
-    there.  Each truncation R / m^n indexes n(n+1)/2 monomials and
-    lists (n - low)(n - low + 1)/2 rows for a generator of least degree low;
-    both counts are refused above `MAX_OUTPUT_SIZE` before any elimination.
+    m^n lies in the ideal by Nakayama), up to degree 64: cut below degree n,
+    the rows at n + 1 are those at n, and a pivot row starts at its pivot, so
+    one elimination at n + 1 gives both.  With x^a and y^b among single-term
+    generators, m^(a+b-1) lies in the ideal, so the truncation at a + b - 1 is
+    exact: the search runs past 64 and stops there.  A truncation R / m^n has
+    n(n+1)/2 monomials and (n - low)(n - low + 1)/2 rows for a generator of
+    least degree low; both counts, at n and n + 1, are refused above
+    `MAX_OUTPUT_SIZE` before any elimination.
     """
     if not gens or all(not g for g in gens):
         raise NotFiniteColength("no generators")
@@ -227,24 +230,25 @@ def poly_ideal_colength(gens: Sequence[Poly]) -> int:
     exact = None if x_power is None or y_power is None else max(1, x_power + y_power - 1)
     lows = [min(a + b for _, a, b in g) for g in gens if g]
 
-    def value(n: int) -> int:
-        dim = n * (n + 1) // 2
-        within_budget("truncation", dim, "index entries", MAX_OUTPUT_SIZE)
+    def dim(n: int) -> int:
+        positions = n * (n + 1) // 2
+        within_budget("truncation", positions, "index entries", MAX_OUTPUT_SIZE)
         rows = sum((n - low) * (n - low + 1) // 2 for low in lows if low < n)
         within_budget("truncation", rows, "rows", MAX_OUTPUT_SIZE)
-        return dim - _rank(_poly_rows(gens, n))
+        return positions
 
     n = max(a + b for g in gens for _, a, b in g) + 2
     while n < exact if exact is not None else n <= _POLY_TRUNCATION_CAP:
-        got = value(n)
-        if got == value(n + 1):
-            return got
+        dim_n, dim_next = dim(n), dim(n + 1)
+        of_degree_n = [p >= dim_n for p in _pivots(_poly_rows(gens, n + 1))]
+        if sum(of_degree_n) == dim_next - dim_n:  # m^n lies in I + m^(n+1)
+            return dim_next - len(of_degree_n)
         n = max(n + 2, 2 * n - n // 2)
     if exact is None:
         raise NotFiniteColength(
             f"colength did not stabilize below truncation degree {_POLY_TRUNCATION_CAP}"
         )
-    return value(exact)
+    return dim(exact) - _rank(_poly_rows(gens, exact))
 
 
 def ideal_as_polys(ideal: MonomialIdeal) -> list[Poly]:

@@ -29,7 +29,7 @@ Monomial = tuple[int, int]
 # 17 MB; m^176 has 987,186 rows: 0.015 s and 17 MB), the polynomial oracle
 # counts the n(n + 1)/2 monomials of each truncation degree n and its rows,
 # one per monomial multiple of a generator (x, y^1413 at degree 1413 has
-# 997,578 rows: 7 s and 346 MB), and an enumeration keeps every generator
+# 997,578 rows: 6-7 s and 347 MB), and an enumeration keeps every generator
 # of the ideals it builds.
 MAX_PRODUCT_CANDIDATES = 1_000_000
 MAX_OUTPUT_SIZE = 1_000_000

@@ -14,6 +14,7 @@ from icmod import (
     SizeBudgetExceeded,
     closure,
     closure_power_oracle,
+    enumerate_complete,
     is_complete,
     newton_vertices,
     normalize,
@@ -292,6 +293,30 @@ class TestFactorization:
     def test_round_trip(self, small_complete):
         for ideal in small_complete:
             assert reconstruct(zariski_factor(ideal)) == ideal
+
+    def test_colength_from_the_counts(self):
+        for ideal in enumerate_complete(8, 10):
+            f = zariski_factor(ideal)
+            assert f.colength() == reconstruct(f).colength(), ideal
+
+    def test_colength_hand_cases(self):
+        def counts(*pairs):
+            return Factorization.from_counts({SimpleFactor(p, q): n for p, q, n in pairs})
+
+        # one simple factor: the points under its edge, 3x + 2y < 6 and 5x + 3y < 15
+        assert counts((2, 3, 1)).colength() == 5
+        assert counts((3, 5, 1)).colength() == 11
+        # a power of one factor adds C(n, 2) p q: m^3 has colength 6
+        assert counts((1, 1, 3)).colength() == 6
+        square = counts((2, 3, 2))
+        assert square.colength() == 2 * 5 + 6 == reconstruct(square).colength()
+        # p q' = p' q only for one factor listed twice, whose mixed term is
+        # then the power's p q; the min picks the smaller of p q' and p' q
+        twice = Factorization(((SimpleFactor(2, 3), 1), (SimpleFactor(2, 3), 1)))
+        assert twice.colength() == square.colength()
+        assert counts((1, 2, 1), (2, 1, 1)).colength() == 2 + 2 + 1
+        assert reconstruct(counts((1, 2, 1), (2, 1, 1))).colength() == 5
+        assert Factorization(()).colength() == 0
 
     def test_multiset_operations(self):
         f = Factorization.from_counts({SimpleFactor(1, 1): 2, SimpleFactor(2, 3): 1})

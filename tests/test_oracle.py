@@ -35,6 +35,8 @@ from icmod import (
 from icmod.oracle import (
     _box_ends,
     _box_ranks,
+    _pivots,
+    _poly_rows,
     _primitive_pairs,
     _rank,
     ideal_as_polys,
@@ -314,6 +316,24 @@ class TestIncidenceRank:
         monkeypatch.undo()
         assert module_min_gens(build_Mk(STAIR_B, 3)) == STAIR_B.r + 2
 
+    def test_each_verification_counts_one_box(self, monkeypatch, full_enumeration):
+        # the re-run reads mu and, for `length_refutes_splitting`, the length
+        # of the one M_k it builds from the same count
+        counted = []
+        count = _box_ranks
+        monkeypatch.setattr(
+            "icmod.oracle._box_ranks", lambda pres, a, b: counted.append(pres) or count(pres, a, b)
+        )
+        lengths = 0
+        for ideal in full_enumeration:
+            if ideal.order() > 2 or (ideal.order() == 2 and not ideal.member((1, 1))):
+                cert = choose_k(ideal)
+                counted.clear()
+                assert verify_certificate(cert)
+                assert len(counted) == 1, ideal
+                lengths += ("length_refutes_splitting", True) in cert.checks
+        assert lengths > 0
+
 
 def rank_by_minors(matrix):
     """The order of the largest nonzero minor, each determinant expanded over
@@ -359,7 +379,51 @@ class TestRank:
             assert _rank(ints) == _rank(fractions) == want, matrix
 
 
+def random_polys(rng):
+    """A few short polynomials with small exponents; coefficients include 0,
+    some terms cancel, a generator may repeat or be a constant, and x^a and
+    y^b are sometimes given as monomials."""
+    polys = []
+    for _ in range(rng.randint(1, 3)):
+        poly = [(rng.choice((1, -1, 2, 0, 3)), rng.randint(0, 3), rng.randint(0, 3))]
+        poly += [(rng.choice((1, -2, 5)), rng.randint(0, 3), rng.randint(0, 3))]
+        if rng.random() < 0.3:
+            coef, a, b = poly[0]
+            poly.append((-coef, a, b))  # cancels the first term
+        polys.append(poly)
+    if rng.random() < 0.5:
+        polys += [[(1, rng.randint(1, 6), 0)], [(rng.choice((1, 0)), 0, rng.randint(1, 6))]]
+    if rng.random() < 0.2:
+        polys.append(list(rng.choice(polys)))
+    if rng.random() < 0.1:
+        polys.append([(rng.choice((1, -3)), 0, 0)])
+    rng.shuffle(polys)
+    return polys
+
+
 class TestPolynomialColength:
+    def test_one_elimination_reads_both_truncations(self):
+        # the rows at n + 1, projected below degree n, span the rows at n; a
+        # pivot row's entries lie at or after its pivot, so the pivots below
+        # n(n + 1)/2 count the rank at n
+        rng = random.Random(23)  # 12 inputs cover every case of `random_polys`
+        # x + y^2 is not homogeneous: a multiple cut at degree n + 1 keeps
+        # terms below n that no combination free of degree n reaches, so the
+        # pair needs each pivot at its row's least position (at the greatest,
+        # x + y^2 alone reads a different pair)
+        for polys in [[[(1, 1, 0), (1, 0, 2)]], [[(1, 1, 0), (1, 0, 2)], [(1, 0, 7)]]] + [
+            random_polys(rng) for _ in range(12)
+        ]:
+            for n in range(max(a + b for g in polys for _, a, b in g) + 2, 12):
+                dim_n, dim_next = n * (n + 1) // 2, (n + 1) * (n + 2) // 2
+                pivots = _pivots(_poly_rows(polys, n + 1))
+                got = (dim_n - sum(1 for p in pivots if p < dim_n), dim_next - len(pivots))
+                want = (
+                    dim_n - _rank(_poly_rows(polys, n)),
+                    dim_next - _rank(_poly_rows(polys, n + 1)),
+                )
+                assert got == want, (polys, n)
+
     def test_monomial_generators_match_staircase(self):
         for ideal in brute_ideals(3, 3):
             assert poly_ideal_colength(ideal_as_polys(ideal)) == ideal.colength()
@@ -378,6 +442,8 @@ class TestPolynomialColength:
     def test_infinite_colength_rejected(self):
         with pytest.raises(NotFiniteColength):
             poly_ideal_colength([[(1, 2, 0)]])
+        with pytest.raises(NotFiniteColength):  # not homogeneous: needs least-position pivots
+            poly_ideal_colength([[(1, 1, 0), (1, 0, 2)]])
         with pytest.raises(NotFiniteColength):
             poly_ideal_colength([])
 
@@ -417,6 +483,22 @@ class TestPolynomialColength:
         monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 35)
         with pytest.raises(SizeBudgetExceeded, match="36 rows"):
             poly_ideal_colength(polys)
+
+    def test_both_degrees_of_a_stop_test_are_counted_first(self, monkeypatch):
+        # x^4, y^4, x + y search from degree 6: 21 positions and 3 + 3 + 15
+        # rows there, 28 positions and 6 + 6 + 21 rows at degree 7; a cap
+        # between the two counts refuses degree 7 before any row is built
+        polys = [[(1, 4, 0)], [(1, 0, 4)], [(1, 1, 0), (1, 0, 1)]]
+        built = []
+        rows = _poly_rows
+        monkeypatch.setattr("icmod.oracle._poly_rows", lambda g, n: built.append(n) or rows(g, n))
+        for cap, message in ((27, "28 index entries"), (32, "33 rows"), (20, "21 index entries")):
+            monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", cap)
+            with pytest.raises(SizeBudgetExceeded, match=f"could form {message}, more than"):
+                poly_ideal_colength(polys)
+        assert built == []
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 33)
+        assert poly_ideal_colength(polys) == 4 and built == [7]
 
 
 class TestClosureOracle:
