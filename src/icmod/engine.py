@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from . import oracle
 from .errors import InternalInconsistency, NotComplete
@@ -64,16 +64,14 @@ class Verdict(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     branch: Branch
     k0: int | None = None
     alpha: int | None = None
     beta: int | None = None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     input: MonomialIdeal
     closed_input: MonomialIdeal | None
     transposed: bool
@@ -85,7 +83,7 @@ class Certificate:
     matrix: Presentation2 | None
     checks: tuple[tuple[str, bool], ...]
     verdict: Verdict
-    forced_k: bool = field(default=False)
+    forced_k: bool = False
 
 
 def orient(ideal: MonomialIdeal) -> tuple[MonomialIdeal, bool]:
@@ -420,8 +418,9 @@ def certificate_diff(cert: Certificate) -> list[str]:
     except Exception as exc:  # noqa: BLE001 - report, never raise
         return [f"re-running the decision failed: {exc}"]
     diffs = []
-    for name in (f.name for f in fields(Certificate) if f.name != "forced_k"):
-        if getattr(cert, name) == getattr(fresh, name):
+    for name, recorded, derived in zip(Certificate._fields, cert, fresh):
+        # tuples compare equal across their subclasses: the types must match too
+        if name == "forced_k" or type(recorded) is type(derived) and recorded == derived:
             continue
         if name == "checks":
             unmatched = [n for n, ok in cert.checks if (n, ok) not in fresh.checks]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NotComplete, NotMPrimary
@@ -47,8 +46,7 @@ class SimpleFactor(NamedTuple("SimpleFactor", [("p", int), ("q", int)])):
         return min(self.p, self.q)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Multiset of simple factors with multiplicities, canonically sorted."""
 
     factors: tuple[tuple[SimpleFactor, int], ...]
@@ -76,8 +74,7 @@ class Factorization:
         return Factorization.from_counts(counts)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Lower-left hull vertices (p_0,0), ..., (0,q_t), sorted by p descending.
 
     The closure and the factorization of an ideal are both read off its

@@ -19,7 +19,9 @@ matched z: an edge of the matching closes a cycle only through the ground.
 Nothing is read from the graded counts: the tests rank the same rows by the
 exact rational elimination `_rank` as the reference, and the certificate
 verifier compares the oracle with the graded counts of the decision.
-Lengths of polynomial ideals are ranks over truncations R / m^N, by `_pivots`.
+Lengths of polynomial ideals are ranks over truncations R / m^N, by `_pivots`,
+searched from the least degree N that the ideal's restrictions to the axes
+allow.
 
 The integral-closure oracle here deliberately avoids the Newton polygon: it
 tests membership of powers m^n in I^n, which is what the closure machinery is
@@ -215,7 +217,11 @@ def poly_ideal_colength(gens: Sequence[Poly]) -> int:
     The truncation degree grows until two truncations in a row agree (then
     m^n lies in the ideal by Nakayama), up to degree 64: cut below degree n,
     the rows at n + 1 are those at n, and a pivot row starts at its pivot, so
-    one elimination at n + 1 gives both.  With x^a and y^b among single-term
+    one elimination at n + 1 gives both.  The search starts at n0 = max(s_x,
+    s_y), s_x and s_y the least degrees of a nonzero term of some g(x, 0) and
+    g(0, y): setting x = 0, m^n in I + m^(n+1) puts y^n in (y^s_y) + (y^(n+1)),
+    so no test passes below n0.  It grows 1.5-fold up to the largest degree
+    + 2, then 1.5-fold by at least 2.  With x^a and y^b among single-term
     generators, m^(a+b-1) lies in the ideal, so the truncation at a + b - 1 is
     exact: the search runs past 64 and stops there.  A truncation R / m^n has
     n(n+1)/2 monomials and (n - low)(n - low + 1)/2 rows for a generator of
@@ -229,6 +235,13 @@ def poly_ideal_colength(gens: Sequence[Poly]) -> int:
     y_power = min((b for a, b in monomials if a == 0), default=None)
     exact = None if x_power is None or y_power is None else max(1, x_power + y_power - 1)
     lows = [min(a + b for _, a, b in g) for g in gens if g]
+    axes: list[dict[tuple[int, int], int]] = [{}, {}]  # g(x, 0) and g(0, y) by (g, degree)
+    for i, g in enumerate(gens):
+        for coef, a, b in g:
+            for axis, off_axis in zip(axes, (b, a)):
+                if not off_axis:
+                    axis[i, a + b] = axis.get((i, a + b), 0) + coef
+    orders = [min((t for (_, t), coef in axis.items() if coef), default=None) for axis in axes]
 
     def dim(n: int) -> int:
         positions = n * (n + 1) // 2
@@ -237,13 +250,15 @@ def poly_ideal_colength(gens: Sequence[Poly]) -> int:
         within_budget("truncation", rows, "rows", MAX_OUTPUT_SIZE)
         return positions
 
-    n = max(a + b for g in gens for _, a, b in g) + 2
+    first = max(a + b for g in gens for _, a, b in g) + 2
+    # a restriction that vanishes puts I in (x) or (y): past the cap at once
+    n = _POLY_TRUNCATION_CAP + 1 if None in orders else max(1, *orders)
     while n < exact if exact is not None else n <= _POLY_TRUNCATION_CAP:
         dim_n, dim_next = dim(n), dim(n + 1)
         of_degree_n = [p >= dim_n for p in _pivots(_poly_rows(gens, n + 1))]
         if sum(of_degree_n) == dim_next - dim_n:  # m^n lies in I + m^(n+1)
             return dim_next - len(of_degree_n)
-        n = max(n + 2, 2 * n - n // 2)
+        n = min(first, max(n + 1, 2 * n - n // 2)) if n < first else max(n + 2, 2 * n - n // 2)
     if exact is None:
         raise NotFiniteColength(
             f"colength did not stabilize below truncation degree {_POLY_TRUNCATION_CAP}"

@@ -9,7 +9,7 @@ rule below enforces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import KOutOfRange, NonMonomialMinor, NotFiniteColength, NotMPrimary
 from .staircase import Monomial, MonomialIdeal, unchecked_normalize
@@ -18,24 +18,28 @@ Entry = Monomial | None
 Column = tuple[Entry, Entry]
 
 
-@dataclass(frozen=True)
-class Presentation2:
+class Presentation2(NamedTuple("Presentation2", [("cols", tuple[Column, ...])])):
     """Columns of a 2 x m matrix of optional monomials spanning M inside R^2."""
 
-    cols: tuple[Column, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.cols:
+    def __new__(cls, cols: tuple[Column, ...]) -> "Presentation2":
+        if not cols:
             raise ValueError("a presentation needs at least one column")
-        if any(top is None and bot is None for top, bot in self.cols):
+        if any(top is None and bot is None for top, bot in cols):
             raise ValueError("all-empty column")
         # checked once, here: the Fitting ideals and graded counts trust them
-        for col in self.cols:
+        for col in cols:
             for e in col:
                 if e is not None:
                     u, v = e
                     if type(u) is not int or type(v) is not int or u < 0 or v < 0:
                         raise ValueError(f"entries must be pairs of nonnegative ints, got {e}")
+        return tuple.__new__(cls, (cols,))
+
+    @classmethod
+    def _make(cls, iterable) -> "Presentation2":  # `_replace` too: checked as in __new__
+        return cls(*iterable)
 
 
 def _checked_br(ideal: MonomialIdeal, k: int) -> int:

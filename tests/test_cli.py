@@ -89,6 +89,9 @@ class TestModuleCommands:
         assert run(capsys, "poly-colength", "x^70, y, x+y")[1:] == ("1\n", "")
         code, out, err = run(capsys, "poly-colength", "x^2000, y^2000")
         assert code == 1 and out == "" and "budget" in err
+        # the search starts at the axis orders 1: neither reaches degree 64
+        assert run(capsys, "poly-colength", "x + y^63, y + x^63")[1:] == ("1\n", "")
+        assert run(capsys, "poly-colength", "x^2000, y^2000, x+y, x-y")[1:] == ("1\n", "")
         assert run(capsys, "poly-colength", "x^2 - y^3, x*y")[1].strip() == "5"
         code, _, err = run(capsys, "poly-colength", "x^3, y^3, x+y+")
         assert code == 1 and "(line 1, column 15)" in err

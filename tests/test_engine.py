@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 
 import pytest
@@ -270,22 +269,22 @@ class TestCertificates:
 
     def test_tampered_k_detected(self):
         cert = choose_k(STAIR_B)
-        forged = dataclasses.replace(cert, k=2)
+        forged = cert._replace(k=2)
         assert not verify_certificate(forged)
 
     def test_tampered_verdict_detected(self):
         cert = choose_k(STAIR_B)
-        forged = dataclasses.replace(cert, verdict=Verdict.OPEN)
+        forged = cert._replace(verdict=Verdict.OPEN)
         assert not verify_certificate(forged)
 
     def test_tampered_factorization_detected(self):
         cert = choose_k(STAIR_B)
-        forged = dataclasses.replace(cert, factorization=zariski_factor(STAIR_A))
+        forged = cert._replace(factorization=zariski_factor(STAIR_A))
         assert not verify_certificate(forged)
 
     def test_alternative_k_accepted_when_certified(self):
         cert = choose_k(STAIR_A)
-        other = dataclasses.replace(cert, k=2)
+        other = cert._replace(k=2)
         # k mismatch alone is tolerated in the full-range branch, but the
         # recorded matrix no longer matches that k
         assert "matrix mismatch" in certificate_diff(other)
@@ -296,21 +295,21 @@ class TestCertificates:
         )
         cert = choose_k(ideal)
         assert cert.branch == Branch.NO_ORDER1_FACTOR and cert.k == 1
-        forged = dataclasses.replace(
-            cert,
+        forged = cert._replace(
             k=2,
             matrix=build_Mk(cert.ideal, 2),
             checks=(("fitting0_equals_ideal", False),),
         )
         assert not verify_certificate(forged)
         # the same k with the checks re-derived there is certified
-        honest = dataclasses.replace(choose_k(ideal, forced_k=2), forced_k=False)
+        honest = choose_k(ideal, forced_k=2)._replace(forced_k=False)
         assert certificate_diff(honest) == []
 
     def test_single_field_forgeries_rejected(self, full_enumeration):
         # every certificate with one field changed: k + 1, the next branch and
-        # verdict, transposed, a closure never taken, one factor, each check
-        # flag and the last matrix column
+        # verdict, transposed, a closure never taken, one factor, the ideal as
+        # a plain tuple, each check flag, the last matrix column and the matrix
+        # as a plain tuple
         branches, verdicts = list(Branch), list(Verdict)
         forged = 0
         for ideal in full_enumeration:
@@ -322,6 +321,7 @@ class TestCertificates:
                 {"transposed": not cert.transposed},
                 {"closed_input": cert.input},
                 {"factorization": cert.factorization.remove(cert.factorization.factors[0][0])},
+                {"ideal": (cert.ideal.gens,)},  # equal as a tuple, but not a staircase
             ]
             swaps += [
                 {"checks": cert.checks[:i] + ((name, not ok),) + cert.checks[i + 1 :]}
@@ -330,8 +330,9 @@ class TestCertificates:
             if cert.matrix is not None:
                 *cols, (top, (u, v)) = cert.matrix.cols
                 swaps.append({"matrix": Presentation2((*cols, (top, (u, v + 1))))})
+                swaps.append({"matrix": tuple(cert.matrix)})
             for swap in swaps:
-                assert not verify_certificate(dataclasses.replace(cert, **swap)), (ideal, swap)
+                assert not verify_certificate(cert._replace(**swap)), (ideal, swap)
             forged += len(swaps)
         assert forged > 3000
 

@@ -401,6 +401,19 @@ def random_polys(rng):
     return polys
 
 
+def axis_order(polys, axis):
+    """The least degree of a nonzero term of some g(x, 0) (axis 0) or g(0, y)
+    (axis 1), like terms added; infinite when every restriction vanishes."""
+    degrees = []
+    for g in polys:
+        restricted = {}
+        for coef, *exponents in g:
+            if exponents[1 - axis] == 0:
+                restricted[exponents[axis]] = restricted.get(exponents[axis], 0) + coef
+        degrees += [t for t, c in restricted.items() if c]
+    return min(degrees, default=math.inf)
+
+
 class TestPolynomialColength:
     def test_one_elimination_reads_both_truncations(self):
         # the rows at n + 1, projected below degree n, span the rows at n; a
@@ -414,7 +427,7 @@ class TestPolynomialColength:
         for polys in [[[(1, 1, 0), (1, 0, 2)]], [[(1, 1, 0), (1, 0, 2)], [(1, 0, 7)]]] + [
             random_polys(rng) for _ in range(12)
         ]:
-            for n in range(max(a + b for g in polys for _, a, b in g) + 2, 12):
+            for n in range(1, 12):
                 dim_n, dim_next = n * (n + 1) // 2, (n + 1) * (n + 2) // 2
                 pivots = _pivots(_poly_rows(polys, n + 1))
                 got = (dim_n - sum(1 for p in pivots if p < dim_n), dim_next - len(pivots))
@@ -423,6 +436,35 @@ class TestPolynomialColength:
                     dim_next - _rank(_poly_rows(polys, n + 1)),
                 )
                 assert got == want, (polys, n)
+
+    def test_search_matches_the_exact_degree(self):
+        # with x^a and y^b among the generators the truncation at a + b - 1 is
+        # exact, so the search must give its length wherever it stops
+        rng = random.Random(31)
+        checked = 0
+        while checked < 60:
+            polys = random_polys(rng)
+            powers = [(a, b) for g in polys if len(g) == 1 for coef, a, b in g if coef]
+            x_power = min((a for a, b in powers if b == 0), default=None)
+            y_power = min((b for a, b in powers if a == 0), default=None)
+            if x_power is None or y_power is None:
+                continue
+            exact = max(1, x_power + y_power - 1)
+            want = exact * (exact + 1) // 2 - _rank(_poly_rows(polys, exact))
+            assert poly_ideal_colength(polys) == want, polys
+            checked += 1
+
+    def test_no_stop_test_passes_below_the_axis_orders(self):
+        # m^n in I + m^(n+1) needs n >= the least degree of a nonzero term of
+        # some g(x, 0) and of some g(0, y); with none, no degree passes
+        rng = random.Random(37)
+        for _ in range(80):
+            polys = random_polys(rng)
+            start = max(axis_order(polys, 0), axis_order(polys, 1))
+            for n in range(min(start, 8)):
+                dim_n, dim_next = n * (n + 1) // 2, (n + 1) * (n + 2) // 2
+                pivots = _pivots(_poly_rows(polys, n + 1))
+                assert sum(1 for p in pivots if p >= dim_n) < dim_next - dim_n, (polys, n)
 
     def test_monomial_generators_match_staircase(self):
         for ideal in brute_ideals(3, 3):
@@ -447,6 +489,20 @@ class TestPolynomialColength:
         with pytest.raises(NotFiniteColength):
             poly_ideal_colength([])
 
+    def test_a_vanishing_restriction_is_refused_at_once(self, monkeypatch):
+        # x^2 with x + y - y, and y^3 with 0*x^2 + x*y, lie in (x) and in (y):
+        # once like terms are added no g(0, y), or no g(x, 0), is nonzero, so
+        # no stop test can pass and none is run
+        built = []
+        monkeypatch.setattr("icmod.oracle._poly_rows", lambda g, n: built.append(n) or [])
+        for polys in (
+            [[(1, 2, 0)], [(1, 1, 0), (1, 0, 1), (-1, 0, 1)]],
+            [[(1, 0, 3)], [(0, 2, 0), (1, 1, 1)]],
+        ):
+            with pytest.raises(NotFiniteColength, match="below truncation degree 64"):
+                poly_ideal_colength(polys)
+        assert built == []
+
     def test_pure_powers_bound_the_truncation(self):
         # x^a and y^b put m^(a+b-1) in the ideal, past the degree-64 search
         assert poly_ideal_colength([[(1, 30, 0)], [(1, 0, 30)]]) == 900
@@ -465,7 +521,7 @@ class TestPolynomialColength:
     def test_truncation_rows_budget(self, monkeypatch):
         # m^n given as its n + 1 monomials is exact at degree 2n - 1, where it
         # lists 1,687,425 rows for m^150 and 13,499,850 for m^300, but the
-        # search past degree 64 stops at n + 2, whose truncations agree
+        # search starts at the axis orders n, whose stop test already passes
         start = time.perf_counter()
         for n in (150, 300):
             polys = [[(1, n - i, i)] for i in range(n + 1)]
@@ -475,30 +531,33 @@ class TestPolynomialColength:
         with pytest.raises(SizeBudgetExceeded, match="1995156 rows"):
             poly_ideal_colength([[(1, 1, 0)], [(1, 1, 0)], [(1, 0, 1413)]])
         assert time.perf_counter() - start < 0.5
-        # the exact edge, with the cap lowered: x^3, y^3, 1 + x, 1 - y at degree 5
-        # list 3 + 3 + 15 + 15 = 36 rows in 15 positions
-        polys = [[(1, 3, 0)], [(1, 0, 3)], [(1, 0, 0), (1, 1, 0)], [(1, 0, 0), (-1, 0, 1)]]
-        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 36)
-        assert poly_ideal_colength(polys) == 0
-        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 35)
-        with pytest.raises(SizeBudgetExceeded, match="36 rows"):
+        # the exact edge, with the cap lowered: x, y^5, x*y + y^5 have axis
+        # orders 1 and 5, so they start at their exact degree 5, where they
+        # list 10 + 0 + 6 = 16 rows in 15 positions
+        polys = [[(1, 1, 0)], [(1, 0, 5)], [(1, 1, 1), (1, 0, 5)]]
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 16)
+        assert poly_ideal_colength(polys) == 5
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 15)
+        with pytest.raises(SizeBudgetExceeded, match="16 rows"):
             poly_ideal_colength(polys)
 
     def test_both_degrees_of_a_stop_test_are_counted_first(self, monkeypatch):
-        # x^4, y^4, x + y search from degree 6: 21 positions and 3 + 3 + 15
-        # rows there, 28 positions and 6 + 6 + 21 rows at degree 7; a cap
-        # between the two counts refuses degree 7 before any row is built
-        polys = [[(1, 4, 0)], [(1, 0, 4)], [(1, 1, 0), (1, 0, 1)]]
+        # x^4, y^4, x*y, x*y + x^2*y, x*y - x*y^2 search from their axis
+        # orders 4, below the exact degree 7: 10 positions and 3 + 3 + 3 rows
+        # there, 15 positions and 1 + 1 + 6 + 6 + 6 rows at degree 5; a cap
+        # between the two counts refuses degree 5 before any row is built
+        polys = [[(1, 4, 0)], [(1, 0, 4)], [(1, 1, 1)]]
+        polys += [[(1, 1, 1), (1, 2, 1)], [(1, 1, 1), (-1, 1, 2)]]
         built = []
         rows = _poly_rows
         monkeypatch.setattr("icmod.oracle._poly_rows", lambda g, n: built.append(n) or rows(g, n))
-        for cap, message in ((27, "28 index entries"), (32, "33 rows"), (20, "21 index entries")):
+        for cap, message in ((14, "15 index entries"), (19, "20 rows"), (9, "10 index entries")):
             monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", cap)
             with pytest.raises(SizeBudgetExceeded, match=f"could form {message}, more than"):
                 poly_ideal_colength(polys)
         assert built == []
-        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 33)
-        assert poly_ideal_colength(polys) == 4 and built == [7]
+        monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", 20)
+        assert poly_ideal_colength(polys) == 7 and built == [5]
 
 
 class TestClosureOracle:

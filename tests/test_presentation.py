@@ -59,6 +59,8 @@ class TestBuild:
             Presentation2(())
         with pytest.raises(ValueError):
             Presentation2(((None, None),))
+        with pytest.raises(ValueError):  # a copy with new columns is checked too
+            Presentation2(((None, (0, 1)),))._replace(cols=((None, None),))
 
     @pytest.mark.parametrize("entry", [(-1, 0), (0, -2), (1.0, 0), (1, "y"), (1, 2, 3)])
     def test_entries_are_pairs_of_nonnegative_ints(self, entry):

@@ -4,6 +4,8 @@ import argparse
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import icmod
@@ -82,3 +84,14 @@ def test_oracle_reads_nothing_of_the_graded_counts():
         elif isinstance(node, ast.Import):
             assert all("presentation" not in alias.name for alias in node.names)
     assert taken == {"Presentation2", "finite_fitting0"}
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the value types are tuples: `dataclasses` would pull in `inspect`, `ast`
+    # and `dis`, about 1 MB in every process
+    code = "import sys, icmod.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(ROOT / "src")},
+    ).stdout
+    assert out == "[]\n"
