@@ -6,12 +6,18 @@ The dispatch mirrors the case analysis of the underlying theory:
 
 * no simple factor of order one  -> any k in 1..r-1 works (default 1);
 * some (x, y^l) missing from the factorization (Case I) -> k is the least
-  such l, unless the extra condition fails, which happens for exactly four
-  exceptional factorization patterns (N1..N4) with their own k;
+  such l, unless the extra condition fails, which for an oriented ideal
+  happens for exactly three exceptional factorization patterns (N1..N3),
+  with k = r-2;
 * all (x, y^l), l < r, divide the ideal (Case II) -> the residual order-one
-  factor decides between k = r-2, 3, r or r+1;
+  factor decides between k = 1 or 2 (r = 3), 3 (r = 4), r or r+1;
 * order 2 with xy not in I -> k = 1; order 2 with xy in I is open; order <= 1
   is out of scope.
+
+The theory's fourth exception, (x,y)(x,y^2)cl(x^3,y^2), has a_0 = b_r, and
+`orient`'s tie rule turns it into a Case I ideal with the same k = 2, so no
+oriented ideal needs a branch of its own for it.  `classify` picks the branch
+and the k the theory designates for it.
 
 A certificate records the branch, k, the presentation matrix and a list of
 named boolean checks; the verdict is IndecomposableByPaper only when every
@@ -47,7 +53,6 @@ class Branch(enum.Enum):
     N1 = "N1"
     N2 = "N2"
     N3 = "N3"
-    N4 = "N4"
     CASE_II_1 = "CaseII1"
     CASE_II_2 = "CaseII2"
     R2_SIMPLE = "R2Simple"
@@ -66,7 +71,7 @@ class Verdict(enum.Enum):
 
 class Classification(NamedTuple):
     branch: Branch
-    k0: int | None = None
+    k: int | None = None  # the designated k; None for R2Open and NotCovered
     alpha: int | None = None
     beta: int | None = None
 
@@ -100,13 +105,12 @@ def orient(ideal: MonomialIdeal) -> tuple[MonomialIdeal, bool]:
 
 
 # the factor counts of each exceptional factorization with its (alpha, beta):
-# N2 and N3 have the form (x,y)^{r-2}(x^alpha,y)(x,y^beta) of N1, N4 has none
+# N2 and N3 have the form (x,y)^{r-2}(x^alpha,y)(x,y^beta) of N1
 _N_PATTERNS = {
     branch: ({SimpleFactor(*f): m for f, m in counts}, alpha, beta)
     for branch, counts, alpha, beta in (
         (Branch.N2, (((1, 1), 3), ((1, 2), 1)), 1, 2),
         (Branch.N3, (((1, 1), 2), ((1, 2), 1), ((2, 1), 1)), 2, 2),
-        (Branch.N4, (((1, 1), 1), ((1, 2), 1), ((3, 2), 1)), None, None),
     )
 }
 
@@ -128,7 +132,8 @@ def _match_n1(counts: dict[SimpleFactor, int]) -> tuple[int, int] | None:
 
 
 def classify(ideal: MonomialIdeal) -> Classification:
-    """Branch dispatch for a complete, normalized, oriented ideal."""
+    """Branch dispatch for a complete, normalized, oriented ideal, with the
+    k the theory designates for the branch."""
     counts = None if ideal.is_unit else zariski_factor(ideal).as_dict()
     return _classify(ideal, ideal.order(), counts)
 
@@ -148,26 +153,25 @@ def _classify(
             return Classification(Branch.R2_OPEN)
         b1, b2 = ideal.gens[1][1], ideal.gens[2][1]
         branch = Branch.R2_SIMPLE if b2 < 2 * b1 else Branch.R2_SPLIT
-        return Classification(branch)
+        return Classification(branch, k=1)
     if ideal.gens[-2][0] != 1:
         raise InternalInconsistency(
             f"oriented complete ideal of order >= 3 with a_(r-1) != 1: {ideal}"
         )
     assert counts is not None
     if all(f.order > 1 for f in counts):
-        return Classification(Branch.NO_ORDER1_FACTOR)
+        return Classification(Branch.NO_ORDER1_FACTOR, k=1)
     present = {f.q for f in counts if f.p == 1}  # the l of each factor (x, y^l)
     missing = [ell for ell in range(1, r) if ell not in present]
     if missing:
-        k0 = missing[0]
-        if _condition_fk(ideal, k0):
-            return Classification(Branch.CASE_I, k0=k0)
+        if _condition_fk(ideal, missing[0]):
+            return Classification(Branch.CASE_I, k=missing[0])
         match = _match_n1(counts)
         if match is not None:
-            return Classification(Branch.N1, k0=k0, alpha=match[0], beta=match[1])
+            return Classification(Branch.N1, k=r - 2, alpha=match[0], beta=match[1])
         for branch, (pattern, alpha, beta) in _N_PATTERNS.items():
             if counts == pattern:
-                return Classification(branch, k0=k0, alpha=alpha, beta=beta)
+                return Classification(branch, k=r - 2, alpha=alpha, beta=beta)
         raise InternalInconsistency(
             f"Case I extra condition fails but no exceptional pattern matches: {ideal}"
         )
@@ -181,8 +185,10 @@ def _classify(
         )
     piece = rest[0]
     if piece.q == 1:
-        return Classification(Branch.CASE_II_1, alpha=piece.p)
-    return Classification(Branch.CASE_II_2, beta=piece.q)
+        k = 1 if r == 3 else 3 if r == 4 else r
+        return Classification(Branch.CASE_II_1, k=k, alpha=piece.p)
+    k = 2 if r == 3 else r + 1 if piece.q == r else r
+    return Classification(Branch.CASE_II_2, k=k, beta=piece.q)
 
 
 def _condition_fk(ideal: MonomialIdeal, k: int) -> bool:
@@ -190,37 +196,11 @@ def _condition_fk(ideal: MonomialIdeal, k: int) -> bool:
     return ell_value(ideal, k) == k and not ideal.member((1, k))
 
 
-def _default_k(cls: Classification, r: int) -> int | None:
-    branch = cls.branch
-    if branch == Branch.NO_ORDER1_FACTOR:
-        return 1
-    if branch == Branch.CASE_I:
-        return cls.k0
-    if branch in (Branch.N1, Branch.N2, Branch.N3):
-        return r - 2
-    if branch == Branch.N4:
-        return 2
-    if branch == Branch.CASE_II_1:
-        if r == 3:
-            return 1
-        if r == 4:
-            return 3
-        return r
-    if branch == Branch.CASE_II_2:
-        if r == 3:
-            return 2
-        return r if cls.beta != r else r + 1
-    if branch in (Branch.R2_SIMPLE, Branch.R2_SPLIT):
-        return 1
-    return None
-
-
 def valid_k_set(cls: Classification, r: int) -> list[int]:
     """All k the theory certifies for this branch."""
     if cls.branch == Branch.NO_ORDER1_FACTOR:
         return list(range(1, r))
-    default = _default_k(cls, r)
-    return [default] if default is not None else []
+    return [] if cls.k is None else [cls.k]
 
 
 def _split_length(counts: dict[SimpleFactor, int], ell: int) -> int:
@@ -270,9 +250,6 @@ def _pattern_check(
     if cls.branch in (Branch.N1, Branch.N2, Branch.N3):
         name = f"matches_(x,y)^{r - 2}(x^{cls.alpha},y)(x,y^{cls.beta})"
         factors = [(1, 1)] * (r - 2) + [(cls.alpha, 1), (1, cls.beta)]
-    elif cls.branch == Branch.N4:
-        name = "matches_(x,y)(x,y^2)cl(x^3,y^2)"
-        factors = [(1, 1), (1, 2), (3, 2)]
     elif cls.branch == Branch.CASE_II_1:
         name = f"matches_(x,y)..(x,y^{r - 1})(x^{cls.alpha},y)"
         factors = [(1, ell) for ell in range(1, r)] + [(cls.alpha, 1)]
@@ -358,9 +335,7 @@ def _certify(
 ) -> tuple[int, Presentation2, tuple[tuple[str, bool], ...], Verdict]:
     """k, M_k, the named checks and the verdict for a branch the theory covers,
     given the order r and the factor counts of the factorization."""
-    k = _default_k(cls, r) if forced_k is None else forced_k
-    if k is None:
-        raise InternalInconsistency(f"no k for branch {cls.branch}")
+    k = cls.k if forced_k is None else forced_k
     matrix = build_Mk(oriented, k)  # KOutOfRange for bad forced k
 
     checks: list[tuple[str, bool]] = []

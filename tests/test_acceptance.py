@@ -6,6 +6,7 @@ surfaces as the usual pytest failure for that criterion.
 
 import random
 import time
+from collections import Counter
 
 from icmod import (
     SimpleFactor,
@@ -117,6 +118,7 @@ def test_criterion_05_fitting_sweep(capsys, full_enumeration):
 
 def test_criterion_06_decision_totality(capsys, enumeration_10_12):
     decided = 0
+    branches: Counter[str] = Counter()
     for ideal in enumeration_10_12:
         r = ideal.order()
         if r < 2 or (r == 2 and ideal.member((1, 1))):
@@ -129,7 +131,13 @@ def test_criterion_06_decision_totality(capsys, enumeration_10_12):
         assert cert.verdict == Verdict.INDECOMPOSABLE, (ideal, cert.verdict)
         assert verify_certificate(cert), (ideal, certificate_diff(cert))
         decided += 1
+        branches[cert.branch.value] += 1
     assert decided == 7770
+    # every branch of the case analysis is reached, at a pinned count
+    assert branches == {
+        "CaseI": 7255, "NoOrder1Factor": 345, "N1": 77, "N2": 2, "N3": 1,
+        "CaseII1": 17, "CaseII2": 23, "R2Simple": 9, "R2Split": 41,
+    }
     with capsys.disabled():
         report(6, f"{decided} ideals of (10,12) decided, all certificates verify")
 

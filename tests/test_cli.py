@@ -195,6 +195,11 @@ class TestDecide:
     def test_show_valid_k(self, capsys):
         _, out, _ = run(capsys, "decide", STAIR_A_SRC, "--show-valid-k", "--json")
         assert json.loads(out)["valid_k"] == [1, 2, 3, 4]
+        # a forced k on R2Open, the one branch with no designated k that reaches this
+        argv = ("decide", "(x^2, x*y, y^2)", "--k", "1", "--show-valid-k", "--json")
+        _, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert (doc["valid_k"], doc["verdict"]) == ([], "Unknown")
 
     def test_deterministic_json(self, capsys):
         first = run(capsys, "decide", STAIR_B_SRC, "--json")[1]

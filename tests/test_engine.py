@@ -4,6 +4,7 @@ import pytest
 
 from icmod import (
     Branch,
+    InternalInconsistency,
     KOutOfRange,
     NotComplete,
     Presentation2,
@@ -56,7 +57,7 @@ class TestClassify:
 
     def test_case_i(self):
         cls = classify(STAIR_B)
-        assert cls.branch == Branch.CASE_I and cls.k0 == 3
+        assert cls.branch == Branch.CASE_I and cls.k == 3
 
     def test_n1_from_cube_of_maximal_ideal(self):
         cls = classify(M ** 3)
@@ -79,11 +80,14 @@ class TestClassify:
         assert (cls.alpha, cls.beta) == (2, 2)
 
     def test_n4_in_raw_orientation(self):
+        # the theory's fourth exception has a_0 = b_r: in its raw orientation
+        # it is outside classify's contract, and the tie rule of orient turns
+        # it into a plain Case I instance with the k that exception designates
         ideal = M * xy_ideal(1, 2) * xy_ideal(3, 2)
-        cls = classify(ideal)
-        assert cls.branch == Branch.N4 and cls.alpha is cls.beta is None
-        # the canonical orientation turns it into a plain Case I instance
-        assert classify(orient(ideal)[0]).branch == Branch.CASE_I
+        with pytest.raises(InternalInconsistency, match="no exceptional pattern"):
+            classify(ideal)
+        cls = classify(orient(ideal)[0])
+        assert cls.branch == Branch.CASE_I and cls.k == 2
 
     def test_case_ii(self):
         stack = M * xy_ideal(1, 2) * xy_ideal(1, 3) * xy_ideal(1, 4)
@@ -260,6 +264,18 @@ class TestSufficientTest:
         with pytest.raises(NotComplete):
             choose_k(normalize([(3, 0), (0, 2)]), forced_k=1)
 
+    @pytest.mark.parametrize(
+        "ideal, last",
+        [
+            (M ** 2, ("xy^1_not_in_ideal", False)),
+            (normalize([(1, 0), (0, 2)]), ("fitting1_has_positive_y_exponent", False)),
+        ],
+    )
+    def test_forced_k_stops_at_a_failed_clause(self, ideal, last):
+        cert = choose_k(ideal, forced_k=1)
+        assert cert.checks[-1] == last
+        assert cert.verdict == Verdict.UNKNOWN
+
 
 class TestCertificates:
     def test_verify_fresh_certificates(self, small_complete):
@@ -276,6 +292,12 @@ class TestCertificates:
         cert = choose_k(STAIR_B)
         forged = cert._replace(verdict=Verdict.OPEN)
         assert not verify_certificate(forged)
+
+    def test_failed_rerun_is_reported(self):
+        forged = choose_k(STAIR_B)._replace(input=normalize([(3, 0), (0, 2)]))
+        assert certificate_diff(forged) == [
+            "re-running the decision failed: (x^3, y^2) is not integrally closed"
+        ]
 
     def test_tampered_factorization_detected(self):
         cert = choose_k(STAIR_B)

@@ -317,6 +317,8 @@ class TestFactorization:
         assert counts((1, 2, 1), (2, 1, 1)).colength() == 2 + 2 + 1
         assert reconstruct(counts((1, 2, 1), (2, 1, 1))).colength() == 5
         assert Factorization(()).colength() == 0
+        with pytest.raises(ValueError, match="empty factorization"):
+            reconstruct(Factorization.from_counts({}))
 
     def test_multiset_operations(self):
         f = Factorization.from_counts({SimpleFactor(1, 1): 2, SimpleFactor(2, 3): 1})
