@@ -96,10 +96,10 @@ def orient(ideal: MonomialIdeal) -> tuple[MonomialIdeal, bool]:
 
     The tie rule keeps the whole procedure invariant under swapping x and y.
     """
+    if ideal.a0 < ideal.br:
+        return ideal, False
     flipped = ideal.transpose()
-    if ideal.a0 > ideal.br:
-        return flipped, True
-    if ideal.a0 == ideal.br and flipped.gens < ideal.gens:
+    if ideal.a0 > ideal.br or flipped.gens < ideal.gens:
         return flipped, True
     return ideal, False
 

@@ -30,6 +30,7 @@ measured cost at that cap is in the budget comment of `staircase.py`.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Callable
 
 from .errors import DomainError, ParseError
@@ -41,14 +42,15 @@ from .staircase import Monomial, MonomialIdeal, normalize
 # ---------------------------------------------------------------- lexer
 
 
-# (kind, value, pos): kind is one of ( ) , * ^ + - x y m closure int end, and
-# value is an int token's integer, 0 for every other kind
-_Token = tuple[str, int, int]
+# (kind, value): kind is one of ( ) , * ^ + - x y m closure int end, and value
+# is an int token's integer, 0 for every other kind.  Tokens keep no source
+# position: an error finds its token's position again with `_position`.
+_Token = tuple[str, int]
 
-_IDEAL_KINDS = frozenset(("(", ")", ",", "*", "^", "x", "y", "m", "closure"))
+_IDEAL_KINDS = frozenset(("(", ")", ",", "*", "^", "x", "y", "m", "closure", "int"))
 _POLY_KINDS = _IDEAL_KINDS | {"+", "-"}
-# ASCII digits, the keyword, or any other single character that is not whitespace
-_LEXEME = re.compile(r"([0-9]+)|closure|\S")
+# ASCII digits, else the keyword or any other single character that is not whitespace
+_LEXEME = re.compile(r"([0-9]+)|(closure|\S)")
 
 
 def _error(src: str, pos: int, message: str) -> ParseError:
@@ -57,17 +59,18 @@ def _error(src: str, pos: int, message: str) -> ParseError:
     return ParseError(message, line, col)
 
 
+def _position(src: str, index: int) -> int:
+    """Where the token `index` of `src` starts: the end of `src` for "end"."""
+    match = next(islice(_LEXEME.finditer(src), index, None), None)
+    return len(src) if match is None else match.start()
+
+
 def _tokenize(src: str, kinds: frozenset[str]) -> list[_Token]:
-    tokens = []
-    for match in _LEXEME.finditer(src):
-        digits, text = match.group(1, 0)
-        if digits is not None:
-            tokens.append(("int", int(digits), match.start()))
-        elif text in kinds:
-            tokens.append((text, 0, match.start()))
-        else:
-            raise _error(src, match.start(), f"unexpected character {text!r}")
-    tokens.append(("end", 0, len(src)))
+    tokens = [(text, 0) if text else ("int", int(digits)) for digits, text in _LEXEME.findall(src)]
+    if not kinds.issuperset([kind for kind, _ in tokens]):
+        index = next(i for i, (kind, _) in enumerate(tokens) if kind not in kinds)
+        raise _error(src, _position(src, index), f"unexpected character {tokens[index][0]!r}")
+    tokens.append(("end", 0))
     return tokens
 
 
@@ -90,9 +93,9 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def error(self, message: str) -> ParseError:
-        """`message` at the next token."""
-        return _error(self.src, self.tokens[self.pos][2], message)
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """`message` at the token `index`, by default the next one."""
+        return _error(self.src, _position(self.src, self.pos if index is None else index), message)
 
     def expect(self, kind: str) -> _Token:
         found = self.peek()
@@ -127,9 +130,9 @@ class _Parser:
         ideal = self.atom()
         if self.peek() == "^":
             self.next()
-            _, exponent, pos = self.expect("int")
+            _, exponent = self.expect("int")
             if exponent < 1:
-                raise _error(self.src, pos, "power exponent must be >= 1")
+                raise self.error("power exponent must be >= 1", self.pos - 1)
             ideal = self.apply(ideal.power, exponent)
         return ideal
 
@@ -152,31 +155,34 @@ class _Parser:
         raise self.error(f"expected an ideal, found {kind!r}")
 
     def mono(self) -> Monomial:
+        tokens, i = self.tokens, self.pos
         a = b = 0
         saw = False
         while True:
-            kind, value, _ = self.tokens[self.pos]
-            if kind == "*" and saw and self._factor_follows():
-                self.next()
-                continue
-            if kind == "int" and not saw and value == 1:
+            kind, value = tokens[i]
+            if kind == "x" or kind == "y":
+                exponent = 1
+                if tokens[i + 1][0] == "^":
+                    self.pos = i + 2
+                    exponent = self.expect("int")[1]
+                    i += 2
+                if kind == "x":
+                    a += exponent
+                else:
+                    b += exponent
+                saw = True
+            elif kind == "*" and saw and tokens[i + 1][0] in ("x", "y"):
+                pass  # a '*' between two factors
+            elif kind == "int" and not saw and value == 1:
                 # the constant monomial "1"
-                self.next()
+                self.pos = i + 1
                 return (0, 0)
-            if kind not in ("x", "y"):
+            else:
+                self.pos = i
                 if not saw:
                     raise self.error(f"expected a monomial, found {kind!r}")
                 return (a, b)
-            self.next()
-            exponent = 1
-            if self.peek() == "^":
-                self.next()
-                exponent = self.expect("int")[1]
-            if kind == "x":
-                a += exponent
-            else:
-                b += exponent
-            saw = True
+            i += 1
 
     def comma_list(self, item):
         out = [item()]
@@ -197,7 +203,7 @@ class _Parser:
         return terms
 
     def pterm(self, sign: int) -> Term:
-        kind, value, _ = self.tokens[self.pos]
+        kind, value = self.tokens[self.pos]
         if kind != "int":
             return (sign, *self.mono())
         self.next()

@@ -102,13 +102,15 @@ class NewtonPolygon(NamedTuple):
         """The simple factors of the polygon's closure.
 
         Each edge of lattice width dp and height dq contributes the simple
-        factor (dp/d, dq/d) with multiplicity d = gcd(dp, dq).
+        factor (dp/d, dq/d) with multiplicity d = gcd(dp, dq).  The edges of a
+        strictly convex hull have pairwise distinct directions, so each factor
+        comes from one edge.
         """
-        counts: Counter[SimpleFactor] = Counter()
+        counts: dict[SimpleFactor, int] = {}
         for (p0, q0), (p1, q1) in zip(self.vertices, self.vertices[1:]):
             dp, dq = p0 - p1, q1 - q0
             d = math.gcd(dp, dq)
-            counts[SimpleFactor(dp // d, dq // d)] += d
+            counts[SimpleFactor(dp // d, dq // d)] = d
         return Factorization.from_counts(counts)
 
     def transpose(self) -> "NewtonPolygon":

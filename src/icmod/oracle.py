@@ -30,6 +30,7 @@ validated against.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Sequence
@@ -271,17 +272,23 @@ def ideal_as_polys(ideal: MonomialIdeal) -> list[Poly]:
 
 
 def closure_power_oracle(m: Monomial, ideal: MonomialIdeal, n_max: int) -> bool:
-    """Whether m^n lies in I^n for some n <= n_max (power membership test)."""
+    """Whether m^n lies in I^n for some n <= n_max (power membership test).
+
+    `_powers` keeps the powers of the last (I, n_max) asked about, so a sweep
+    over the points of one ideal forms n_max - 1 products in all."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     u, v = m
-    power = ideal
-    for n in range(1, n_max + 1):
-        if power.member((n * u, n * v)):
-            return True
-        if n < n_max:
-            power = power.product(ideal)
-    return False
+    return any(power.member((n * u, n * v)) for n, power in enumerate(_powers(ideal, n_max), 1))
+
+
+@functools.lru_cache(maxsize=1)
+def _powers(ideal: MonomialIdeal, n_max: int) -> tuple[MonomialIdeal, ...]:
+    """I, I^2, ..., I^n_max, each the one before times I."""
+    powers = [ideal]
+    for _ in range(n_max - 1):
+        powers.append(powers[-1].product(ideal))
+    return tuple(powers)
 
 
 def _primitive_pairs(bound_a: int, bound_b: int) -> list[SimpleFactor]:

@@ -51,16 +51,15 @@ def _checked_br(ideal: MonomialIdeal, k: int) -> int:
 
 
 def build_Mk(ideal: MonomialIdeal, k: int) -> Presentation2:
-    """The 2 x (r+2) presentation of M_k(I); requires 1 <= k < b_r and r >= 1."""
+    """The 2 x (r+2) presentation of M_k(I); requires 1 <= k < b_r and r >= 1.
+    Its entries come from the checked staircase, so they are not checked again."""
     if ideal.is_unit or ideal.r < 1:
         raise NotMPrimary("M_k needs a proper m-primary ideal with r >= 1")
     br = _checked_br(ideal, k)
-    cols: list[Column] = []
-    for a, b in ideal.gens[:-1]:
-        cols.append(((a - 1, b), None))
+    cols: list[Column] = [((a - 1, b), None) for a, b in ideal.gens[:-1]]
     cols.append(((0, k), (1, 0)))
     cols.append((None, (0, br - k)))
-    return Presentation2(tuple(cols))
+    return tuple.__new__(Presentation2, (tuple(cols),))
 
 
 def _mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -68,25 +67,37 @@ def _mul(m1: Monomial, m2: Monomial) -> Monomial:
 
 
 def fitting0(pres: Presentation2) -> MonomialIdeal:
-    """Ideal of all 2x2 minors, which must each be zero or a single monomial."""
-    gens: list[Monomial] = []
-    cols = pres.cols
-    for i in range(len(cols)):
-        ti, bi = cols[i]
-        for j in range(i + 1, len(cols)):
-            tj, bj = cols[j]
-            m1 = _mul(ti, bj) if ti is not None and bj is not None else None
-            m2 = _mul(tj, bi) if tj is not None and bi is not None else None
-            if m1 is not None and m2 is not None:
-                if m1 != m2:
-                    raise NonMonomialMinor(
-                        f"minor of columns {i},{j} is a binomial: "
-                        f"x^{m1[0]}y^{m1[1]} - x^{m2[0]}y^{m2[1]}"
-                    )
-                continue  # the two terms cancel
-            m = m1 if m1 is not None else m2
-            if m is not None:
-                gens.append(m)
+    """Ideal of all 2x2 minors, which must each be zero or a single monomial.
+
+    The minor t_i b_j - t_j b_i of columns i < j has a term only where one
+    column has a top entry and the other a bottom entry, so only those
+    products are formed: for M_k, 2r + 1 of them, not (r+2)(r+1)/2 pair tests.
+    Two two-entry columns must cancel, else the first such pair (i, j)
+    raises `NonMonomialMinor`.
+    """
+    tops: list[Monomial] = []  # of the top-only columns
+    bots: list[Monomial] = []  # of the bottom-only columns
+    both: list[tuple[int, Monomial, Monomial]] = []
+    for i, (t, b) in enumerate(pres.cols):
+        if b is None:
+            tops.append(t)
+        elif t is None:
+            bots.append(b)
+        else:
+            both.append((i, t, b))
+    if both:  # pairs cancel iff they share a shift t - b, so test each against the first
+        i, ti, bi = both[0]
+        for j, tj, bj in both[1:]:
+            m1, m2 = _mul(ti, bj), _mul(tj, bi)
+            if m1 != m2:
+                raise NonMonomialMinor(
+                    f"minor of columns {i},{j} is a binomial: "
+                    f"x^{m1[0]}y^{m1[1]} - x^{m2[0]}y^{m2[1]}"
+                )
+    gens = [(a + c, b + d) for a, b in tops for c, d in bots]
+    for _, (u, v), (c, d) in both:
+        gens += [(a + c, b + d) for a, b in tops]
+        gens += [(a + u, b + v) for a, b in bots]
     if not gens:
         raise NotMPrimary("all 2x2 minors vanish; Fitt_0 is the zero ideal")
     return unchecked_normalize(gens)
@@ -172,17 +183,18 @@ def graded_min_gens(pres: Presentation2, fit0: MonomialIdeal | None = None) -> i
     The column multiples in degree D keep their columns' supports and span
     min(2, distinct supports), as R^2 has dimension <= 2 there.  (mM)_D is
     spanned by those of the columns of degree < D, so one scan per D collects
-    both sets of supports.  `fit0` is Fitt_0 of `pres`, if the caller has it.
+    both sets of supports, as bit masks.  `fit0` is Fitt_0 of `pres`, if the
+    caller has it.
     """
     _, cols = _graded_columns(pres, fit0)
     mu = 0
     for deg in {deg for deg, _ in cols}:
         u, v = deg
-        upto, below = set(), set()
+        upto = below = 0  # bit `kind` set for each support seen
         for (a, b), kind in cols:
             if a <= u and b <= v:
-                upto.add(kind)
+                upto |= 1 << kind
                 if (a, b) != deg:
-                    below.add(kind)
-        mu += min(2, len(upto)) - min(2, len(below))
+                    below |= 1 << kind
+        mu += min(2, upto.bit_count()) - min(2, below.bit_count())
     return mu

@@ -23,6 +23,8 @@ from icmod import (
     verify_certificate,
     zariski_factor,
 )
+from icmod.engine import _match_n1
+from icmod.newton import SimpleFactor
 
 M = normalize([(1, 0), (0, 1)])
 STAIR_A = normalize([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7)])
@@ -58,6 +60,13 @@ class TestClassify:
     def test_case_i(self):
         cls = classify(STAIR_B)
         assert cls.branch == Branch.CASE_I and cls.k == 3
+
+    def test_n1_match_needs_the_factor_x_y(self):
+        # three factors, none of them (x, y): no (x,y)(x^alpha,y)(x,y^beta)
+        counts = {SimpleFactor(1, 2): 1, SimpleFactor(2, 1): 1, SimpleFactor(1, 3): 1}
+        assert _match_n1(counts) is None
+        counts = {SimpleFactor(1, 1): 1, SimpleFactor(2, 1): 1, SimpleFactor(1, 3): 1}
+        assert _match_n1(counts) == (2, 3)
 
     def test_n1_from_cube_of_maximal_ideal(self):
         cls = classify(M ** 3)

@@ -34,6 +34,7 @@ from icmod import (
 )
 from icmod.oracle import (
     _box_ends,
+    _powers,
     _box_ranks,
     _pivots,
     _poly_rows,
@@ -575,9 +576,48 @@ class TestClosureOracle:
                         (u, v)
                     )
 
+    def test_matches_uncached_reference(self, small_complete):
+        for ideal in small_complete:
+            if ideal.is_unit:
+                continue
+            for n_max in (1, 2, ideal.a0 + ideal.br):
+                for u in range(ideal.a0 + 2):
+                    for v in range(ideal.br + 2):
+                        want = closure_power_by_products((u, v), ideal, n_max)
+                        assert closure_power_oracle((u, v), ideal, n_max) == want, (ideal, u, v)
+
+    def test_a_box_sweep_forms_each_power_once(self, monkeypatch):
+        products = 0
+        product = MonomialIdeal.product
+
+        def counted_product(self, other):
+            nonlocal products
+            products += 1
+            return product(self, other)
+
+        monkeypatch.setattr(MonomialIdeal, "product", counted_product)
+        _powers.cache_clear()
+        n_max = STAIR_B.a0 + STAIR_B.br
+        for u in range(STAIR_B.a0 + 1):
+            for v in range(STAIR_B.br + 1):
+                closure_power_oracle((u, v), STAIR_B, n_max)
+        assert products == n_max - 1
+
     def test_n_max_validation(self):
         with pytest.raises(ValueError):
             closure_power_oracle((1, 1), STAIR_B, 0)
+
+
+def closure_power_by_products(m, ideal, n_max):
+    """Reference: the powers formed afresh for each point, up to the first
+    n with m^n in I^n."""
+    u, v = m
+    power = ideal
+    for n in range(1, n_max + 1):
+        if power.member((n * u, n * v)):
+            return True
+        power = power.product(ideal)
+    return False
 
 
 def enumerate_by_reconstruct(bound_a, bound_b):

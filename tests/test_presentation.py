@@ -11,6 +11,7 @@ from icmod import (
     Presentation2,
     build_Mk,
     ell_value,
+    enumerate_complete,
     fitting0,
     fitting1,
     graded_colength,
@@ -19,8 +20,10 @@ from icmod import (
     module_min_gens,
     normalize,
 )
+from icmod.engine import orient
 from icmod.presentation import _graded_columns
-from icmod.staircase import MonomialIdeal
+from icmod.staircase import MonomialIdeal, unchecked_normalize
+from tests.test_oracle import SHAPES, random_presentation, shaped_presentation
 
 STAIR_B = normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
 
@@ -62,6 +65,14 @@ class TestBuild:
         with pytest.raises(ValueError):  # a copy with new columns is checked too
             Presentation2(((None, (0, 1)),))._replace(cols=((None, None),))
 
+    def test_build_mk_matches_a_checked_build(self):
+        # build_Mk skips the entry check: running it on the same columns changes nothing
+        for ideal in {orient(i)[0] for i in enumerate_complete(8, 10)}:
+            for k in range(1, ideal.br):
+                m = build_Mk(ideal, k)
+                assert type(m) is Presentation2
+                assert Presentation2(m.cols) == m
+
     @pytest.mark.parametrize("entry", [(-1, 0), (0, -2), (1.0, 0), (1, "y"), (1, 2, 3)])
     def test_entries_are_pairs_of_nonnegative_ints(self, entry):
         # what the Fitting ideals derive from the entries is not checked again
@@ -69,7 +80,67 @@ class TestBuild:
             Presentation2((((1, 0), entry), ((0, 1), None)))
 
 
+def fitting0_by_all_pairs(pres: Presentation2) -> MonomialIdeal:
+    """Reference Fitt_0: the minor of every pair of columns, tested in turn."""
+    gens = []
+    cols = pres.cols
+    for i in range(len(cols)):
+        ti, bi = cols[i]
+        for j in range(i + 1, len(cols)):
+            tj, bj = cols[j]
+            m1 = (ti[0] + bj[0], ti[1] + bj[1]) if ti is not None and bj is not None else None
+            m2 = (tj[0] + bi[0], tj[1] + bi[1]) if tj is not None and bi is not None else None
+            if m1 is not None and m2 is not None:
+                if m1 != m2:
+                    raise NonMonomialMinor(
+                        f"minor of columns {i},{j} is a binomial: "
+                        f"x^{m1[0]}y^{m1[1]} - x^{m2[0]}y^{m2[1]}"
+                    )
+                continue  # the two terms cancel
+            m = m1 if m1 is not None else m2
+            if m is not None:
+                gens.append(m)
+    if not gens:
+        raise NotMPrimary("all 2x2 minors vanish; Fitt_0 is the zero ideal")
+    return unchecked_normalize(gens)
+
+
+def assert_fitting0_matches_all_pairs(pres: Presentation2) -> None:
+    """The same ideal, or the same exception type and message."""
+    try:
+        want = fitting0_by_all_pairs(pres)
+    except (NonMonomialMinor, NotMPrimary) as exc:
+        with pytest.raises(type(exc)) as info:
+            fitting0(pres)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc), pres
+    else:
+        assert fitting0(pres) == want, pres
+
+
 class TestFittingIdeals:
+    def test_nonzero_minors_match_all_pairs(self, full_enumeration):
+        for ideal in full_enumeration:
+            for k in range(1, ideal.br):
+                assert_fitting0_matches_all_pairs(build_Mk(ideal, k))
+        rng = random.Random(5)
+        for _ in range(500):
+            assert_fitting0_matches_all_pairs(random_presentation(rng))
+        for shape in SHAPES:
+            for _ in range(200):
+                assert_fitting0_matches_all_pairs(shaped_presentation(rng, shape)[0])
+        for pres in random_graded_presentations(17, 200):  # m-primary, several two-entry columns
+            assert_fitting0_matches_all_pairs(pres)
+        # two-entry columns of two shifts: the first pair that does not cancel is named
+        outcomes = set()
+        for _ in range(500):
+            pres = Presentation2(random_presentation(rng).cols + random_presentation(rng).cols)
+            assert_fitting0_matches_all_pairs(pres)
+            try:
+                outcomes.add(type(fitting0_by_all_pairs(pres)))
+            except (NonMonomialMinor, NotMPrimary) as exc:
+                outcomes.add(type(exc))
+        assert outcomes == {NonMonomialMinor, NotMPrimary}
+
     def test_minors_reproduce_ideal(self):
         ideal = normalize([(2, 0), (1, 1), (0, 3)])
         assert fitting0(build_Mk(ideal, 1)) == ideal
