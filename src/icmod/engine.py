@@ -31,7 +31,6 @@ from collections import Counter
 from collections.abc import Callable
 from typing import NamedTuple
 
-from . import oracle
 from .errors import InternalInconsistency, NotComplete
 from .newton import Factorization, SimpleFactor, newton_vertices, reconstruct, zariski_factor
 from .oracle import module_colength, module_min_gens
@@ -378,17 +377,9 @@ def certificate_diff(cert: Certificate) -> list[str]:
     """
     other_k = cert.branch == Branch.NO_ORDER1_FACTOR and 0 < (cert.k or 0) < cert.order
     k = cert.k if cert.forced_k or other_k else None
-    box: list[int] = []  # the ranks of M_k's box, counted once for mu and the length
-
-    def count(pres: Presentation2, a: int, b: int) -> list[int]:
-        box[:] = box or oracle._box_ranks(pres, a, b)
-        return box
-
     try:
         fresh = _decide(
-            cert.input, k, cert.closed_input is not None,
-            lambda matrix, fit0: module_min_gens(matrix, fit0, count),
-            lambda matrix, fit0: module_colength(matrix, fit0, count),
+            cert.input, k, cert.closed_input is not None, module_min_gens, module_colength
         )
     except Exception as exc:  # noqa: BLE001 - report, never raise
         return [f"re-running the decision failed: {exc}"]

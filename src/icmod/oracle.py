@@ -38,12 +38,11 @@ from typing import Collection, Iterable, Iterator, Sequence
 from .errors import InternalInconsistency, NotFiniteColength
 from .newton import SimpleFactor, simple_ideal
 from .presentation import Presentation2, finite_fitting0
-from .staircase import MAX_OUTPUT_SIZE, Monomial, MonomialIdeal, within_budget
+from .staircase import MAX_MASK_BITS, MAX_OUTPUT_SIZE, Monomial, MonomialIdeal, within_budget
 
 # polynomial term: (coefficient, x-exponent, y-exponent)
 Term = tuple[int, int, int]
 Poly = Sequence[Term]
-BoxEnd = tuple[int, int, int]  # the module oracle's box: position, x and y reach
 
 
 def truncation_margin() -> int:
@@ -86,36 +85,6 @@ def _rank(rows: Iterable[dict[int, int | Fraction]]) -> int:
     return len(_pivots(rows))  # the rank over Q
 
 
-def _box_ends(pres: Presentation2, a: int, b: int) -> tuple[set[tuple[BoxEnd, ...]], int]:
-    """The distinct columns, each as its entries that lie in the box c <= a,
-    d <= b of F, and the number of rows the box holds.
-
-    An entry is its position and how far x and y can move it inside the box:
-    x^c y^d in coordinate `coord` sits at coord * block + d * (a + 1) + c,
-    block = (a + 1)(b + 1).  The multiples of a column that keep an entry in
-    the box form a rectangle anchored at x^0 y^0, and a two-entry column's
-    multiples are the union of its two rectangles.  A repeated column counts
-    its rows again but is kept once, since it adds no rank.
-    """
-    width = a + 1
-    block = width * (b + 1)
-    distinct = set()
-    rows = 0
-    for top, bottom in pres.cols:
-        ends = ()
-        if top is not None and top[0] <= a and top[1] <= b:
-            ends = ((top[1] * width + top[0], a - top[0], b - top[1]),)
-        if bottom is not None and bottom[0] <= a and bottom[1] <= b:
-            ends += ((block + bottom[1] * width + bottom[0], a - bottom[0], b - bottom[1]),)
-        for _, w, h in ends:
-            rows += (w + 1) * (h + 1)
-        if len(ends) == 2:
-            (_, w1, h1), (_, w2, h2) = ends
-            rows -= (min(w1, w2) + 1) * (min(h1, h2) + 1)
-        distinct.add(ends)
-    return distinct, rows
-
-
 def _rectangle(width: int, w: int, h: int) -> int:
     """The bits d * width + c with c <= w, d <= h: one row of w + 1 bits,
     doubled until it has h + 1 rows or more, then cut to h + 1."""
@@ -143,14 +112,29 @@ def _box_ranks(pres: Presentation2, a: int, b: int) -> tuple[int, int, int]:
     and each multiple of a two-entry column outside the corner c <= min(pc,
     qc), d <= min(pd, qd) where both entries stay.  The corner's multiples
     join p + o to q + o, o = d(a + 1) + c, a gap q - p that is the same for
-    every two-entry column (module docstring), so they form a matching.  The
-    box's positions and rows count against `MAX_OUTPUT_SIZE` first.
+    every two-entry column (module docstring), so they form a matching.
+
+    Each column is kept as its entries that lie in the box: an entry x^c y^d
+    of coordinate `coord` is its position coord * (a + 1)(b + 1) + d(a + 1)
+    + c and how far x and y can move it inside the box, so the multiples
+    that keep it form a rectangle anchored at the entry.  A repeated column
+    adds no rank and is kept once.  The box's positions count against
+    `MAX_OUTPUT_SIZE`, and then the mask bits, positions times distinct
+    columns, against `MAX_MASK_BITS`, before any mask is built.
     """
     width = a + 1
-    dim = 2 * width * (b + 1)
+    block = width * (b + 1)
+    dim = 2 * block
     within_budget("module oracle box", dim, "index entries", MAX_OUTPUT_SIZE)
-    distinct, rows = _box_ends(pres, a, b)
-    within_budget("module oracle box", rows, "rows", MAX_OUTPUT_SIZE)
+    distinct = set()
+    for top, bottom in pres.cols:
+        ends = ()
+        if top is not None and top[0] <= a and top[1] <= b:
+            ends = ((top[1] * width + top[0], a - top[0], b - top[1]),)
+        if bottom is not None and bottom[0] <= a and bottom[1] <= b:
+            ends += ((block + bottom[1] * width + bottom[0], a - bottom[0], b - bottom[1]),)
+        distinct.add(ends)
+    within_budget("module oracle box", len(distinct) * dim, "mask bits", MAX_MASK_BITS)
     ground = matched = ground_columns = matched_columns = 0
     gaps = set()
     for ends in distinct:
@@ -173,19 +157,19 @@ def _box_ranks(pres: Presentation2, a: int, b: int) -> tuple[int, int, int]:
     return dim, shifted, _graph_rank(ground | ground_columns, matched | matched_columns, gap)
 
 
-def module_colength(pres: Presentation2, fit0: MonomialIdeal | None = None, count=None) -> int:
+def module_colength(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:
     """Length of R^2 / M: dim F/BF - rank(M), with B from Fitt_0, read from
-    `fit0` when the caller has it; `count` stands in for `_box_ranks`."""
+    `fit0` when the caller has it."""
     ideal = finite_fitting0(pres) if fit0 is None else fit0
-    dim, _, full = (count or _box_ranks)(pres, ideal.a0, ideal.br)
+    dim, _, full = _box_ranks(pres, ideal.a0, ideal.br)
     return dim - full
 
 
-def module_min_gens(pres: Presentation2, fit0: MonomialIdeal | None = None, count=None) -> int:
+def module_min_gens(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:
     """Minimal number of generators: dim M/mM = rank(M) - rank(mM) in F/BF,
-    B and `count` as in `module_colength`."""
+    B as in `module_colength`."""
     ideal = finite_fitting0(pres) if fit0 is None else fit0
-    _, shifted, full = (count or _box_ranks)(pres, ideal.a0, ideal.br)
+    _, shifted, full = _box_ranks(pres, ideal.a0, ideal.br)
     return full - shifted
 
 

@@ -22,16 +22,21 @@ Monomial = tuple[int, int]
 # 0.12 s and 110 MB.  A closure emits 1 + sum of min(dp, dq) over its hull
 # edges corners (that of (x^999999, y^999999) takes 0.14 s and 140 MB), a
 # figure draws a_0 + b_r + 2 axis ticks (an 85 MB figure in 0.2 s and 130 MB),
-# the module oracles count the 2(a_0 + 1)(b_r + 1) positions of their box and
-# its rows, one per monomial multiple of a column left in the box (at k = 1,
-# (x^140000, x*y, y^2) has 840,006 positions and 980,012 rows: 0.01 s and
-# 17 MB; m^176 has 987,186 rows: 0.015 s and 17 MB), the polynomial oracle
-# counts the n(n + 1)/2 monomials of each truncation degree n and its rows,
-# one per monomial multiple of a generator (x, y^1413, searched from its axis
-# orders straight at the exact degree 1413, has 997,578 rows there: 5 s and
-# 345 MB), and an enumeration keeps every generator of the ideals it builds.
+# the module oracles count the 2(a_0 + 1)(b_r + 1) positions of their box
+# (at k = 1, (x^140000, x*y, y^2) has 840,006: under 0.01 s and 15 MB) and the
+# bits of their masks, one box-wide mask per distinct column, which the count
+# walks: M_k has at most min(a_0, b_r) + 2 columns, so at most 708 in a box
+# within the positions cap (m^700 at k = 1, 702 columns in 982,802 positions,
+# takes 0.06 s and 16 MB), while at the mask cap 1,000 distinct columns near
+# the origin of 999,698 positions take 0.08 s with one entry each and 0.28 s
+# with two, at 16 MB; the polynomial oracle counts the n(n + 1)/2 monomials
+# of each truncation degree n and its rows, one per monomial multiple of a
+# generator (x, y^1413, searched from its axis orders straight at the exact
+# degree 1413, has 997,578 rows there: 5 s and 345 MB), and an enumeration
+# keeps every generator of the ideals it builds.
 MAX_PRODUCT_CANDIDATES = 1_000_000
 MAX_OUTPUT_SIZE = 1_000_000
+MAX_MASK_BITS = 1_000_000_000
 
 
 def within_budget(what: str, count: int, unit: str, budget: int) -> None:
@@ -84,14 +89,6 @@ class MonomialIdeal(NamedTuple):
     @property
     def br(self) -> int:
         return self.gens[-1][1]
-
-    @property
-    def avec(self) -> tuple[int, ...]:
-        return tuple(g[0] for g in self.gens)
-
-    @property
-    def bvec(self) -> tuple[int, ...]:
-        return tuple(g[1] for g in self.gens)
 
     @property
     def is_unit(self) -> bool:

@@ -306,7 +306,7 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: unexpected character '²' (line 1, column 4)\n"
 
-    def test_oversize_input_fails_fast(self, capsys, tmp_path):
+    def test_oversize_input_fails_fast(self, capsys, tmp_path, monkeypatch):
         start = time.perf_counter()
         code, _, err = run(capsys, "closure", "(x^2,y^2)^99999999999")
         assert code == 1 and "budget" in err
@@ -321,8 +321,15 @@ class TestExitCodes:
         assert code == 0 and out.strip() == "(x^1000000, x*y, y^1000000)"
         code, out, err = run(capsys, "product", "m^999", "m^1000")
         assert code == 1 and out == "" and "budget" in err
+        code, out, err = run(capsys, "module-mu", "m^800", "--k", "1")
+        assert code == 1 and out == "" and "1283202 index entries" in err and "budget" in err
+        # m^300's 302 columns in a box of 181,202 positions: the mask cap's edge
+        monkeypatch.setattr("icmod.oracle.MAX_MASK_BITS", 302 * 181202)
+        code, out, _ = run(capsys, "module-mu", "m^300", "--k", "1")
+        assert code == 0 and out.strip() == "302"
+        monkeypatch.setattr("icmod.oracle.MAX_MASK_BITS", 302 * 181202 - 1)
         code, out, err = run(capsys, "module-mu", "m^300", "--k", "1")
-        assert code == 1 and out == "" and "rows" in err and "budget" in err
+        assert code == 1 and out == "" and "54723004 mask bits" in err and "budget" in err
         assert time.perf_counter() - start < 1.0
 
     def test_enumerate_size_budget(self, capsys, monkeypatch):

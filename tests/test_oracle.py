@@ -14,6 +14,7 @@ from icmod import (
     NonMonomialMinor,
     NotFiniteColength,
     Presentation2,
+    SimpleFactor,
     SizeBudgetExceeded,
     build_Mk,
     certificate_diff,
@@ -33,7 +34,6 @@ from icmod import (
     verify_certificate,
 )
 from icmod.oracle import (
-    _box_ends,
     _powers,
     _box_ranks,
     _pivots,
@@ -85,31 +85,47 @@ class TestModuleOracles:
                 assert graded_min_gens(pres) == module_min_gens(pres), (ideal, k)
 
     def test_truncation_budget(self, monkeypatch):
-        # both counts are taken before any row is built: (x^200000, x*y, y^2)
-        # boxes 2 * 200001 * 3 positions, and m^300's 302 columns list
-        # 4,726,902 rows in a box of 181,202 positions
+        # both caps are checked before any mask is built: (x^200000, x*y, y^2)
+        # boxes 2 * 200001 * 3 positions, past the positions cap, while m^300's
+        # 302 columns in a box of 181,202 positions make 54,723,004 mask bits,
+        # and 1,001 distinct columns in a box of 999,698 positions make
+        # 1,000,697,698, past the mask cap
         start = time.perf_counter()
         wide = build_Mk(normalize([(200000, 0), (1, 1), (0, 2)]), 1)
         dense = build_Mk(closure(normalize([(300, 0), (0, 300)])), 1)
         for oracle in (module_min_gens, module_colength):
             with pytest.raises(SizeBudgetExceeded, match="1200006 index entries"):
                 oracle(wide)
-            with pytest.raises(SizeBudgetExceeded, match="4726902 rows"):
-                oracle(dense)
+        assert module_min_gens(dense) == graded_min_gens(dense) == 302
+        assert module_colength(dense) == graded_colength(dense) == 45149
+        many_columns = Presentation2(tuple((None, divmod(i, 32)) for i in range(1001)))
+
+        def refuse_masks(*args):
+            pytest.fail("a mask was built past the cap")
+
+        with monkeypatch.context() as patched:
+            patched.setattr("icmod.oracle._rectangle", refuse_masks)
+            with pytest.raises(SizeBudgetExceeded, match="1000697698 mask bits"):
+                _box_ranks(many_columns, 706, 706)
         assert time.perf_counter() - start < 0.5
-        # the exact edges, with the cap lowered: (x^4, x*y, y^2) at k = 1 lists
-        # 6 + 10 + 14 + 10 = 40 rows in a box of 2 * 5 * 3 = 30 positions, and
-        # e_0, y^3 e_1, x^3 e_1 list 16 + 4 + 4 = 24 rows in 32 positions
-        many_rows = build_Mk(normalize([(4, 0), (1, 1), (0, 2)]), 1)
+        # the exact edges, with a cap lowered: (x^4, x*y, y^2) at k = 1 has 4
+        # distinct columns in a box of 2 * 5 * 3 = 30 positions, 120 mask bits,
+        # and e_0, y^3 e_1, x^3 e_1 box 32 positions
+        many_bits = build_Mk(normalize([(4, 0), (1, 1), (0, 2)]), 1)
         many_positions = Presentation2((((0, 0), None), (None, (0, 3)), (None, (3, 0))))
-        for pres, count, unit in ((many_rows, 40, "rows"), (many_positions, 32, "index entries")):
-            monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", count)
-            assert module_min_gens(pres) == graded_min_gens(pres)
-            assert module_colength(pres) == graded_colength(pres)
-            monkeypatch.setattr("icmod.oracle.MAX_OUTPUT_SIZE", count - 1)
-            for oracle in (module_min_gens, module_colength):
-                with pytest.raises(SizeBudgetExceeded, match=f"{count} {unit}"):
-                    oracle(pres)
+        for pres, cap, count, unit in (
+            (many_bits, "MAX_MASK_BITS", 120, "mask bits"),
+            (many_positions, "MAX_OUTPUT_SIZE", 32, "index entries"),
+        ):
+            with monkeypatch.context() as patched:
+                patched.setattr(f"icmod.oracle.{cap}", count)
+                assert module_min_gens(pres) == graded_min_gens(pres)
+                assert module_colength(pres) == graded_colength(pres)
+                patched.setattr(f"icmod.oracle.{cap}", count - 1)
+                patched.setattr("icmod.oracle._rectangle", refuse_masks)
+                for oracle in (module_min_gens, module_colength):
+                    with pytest.raises(SizeBudgetExceeded, match=f"{count} {unit}"):
+                        oracle(pres)
 
     def test_min_gens_truncates_at_a0_plus_br(self, full_enumeration):
         # the box c <= a_0, d <= b_r, checked on the largest boxes of (6,8);
@@ -246,16 +262,6 @@ class TestIncidenceRank:
             pres, a, b = shaped_presentation(rng, shape)
             assert_kernels_agree(pres, a, b)
 
-    def test_rows_are_the_multiples_left_in_the_box(self):
-        rng = random.Random(8)
-        cases = [
-            (random_presentation(rng), rng.randint(0, 7), rng.randint(0, 7)) for _ in range(300)
-        ]
-        cases += [shaped_presentation(rng, shape) for shape in SHAPES for _ in range(60)]
-        for pres, a, b in cases:
-            count = sum(map(len, box_rows_by_multiples(pres, a, b)))
-            assert _box_ends(pres, a, b)[1] == count, (pres, a, b)
-
     def test_mixed_shifts_are_refused(self):
         # two two-entry columns of shifts (1, 0) and (0, 1) in the box: the
         # count needs one gap, and Fitt_0 holds the binomial minor x - y
@@ -266,9 +272,10 @@ class TestIncidenceRank:
             with pytest.raises(NonMonomialMinor):
                 oracle(pres)
 
-    def test_identical_columns_count_once(self):
+    def test_identical_columns_count_once(self, monkeypatch):
         # the far corner of a 700 x 700 box, 20,000 times: every copy adds
-        # three rows and no rank, and the count is the one column's
+        # three rows and no rank, and the count is the one column's, with the
+        # 980,000 mask bits of one column against the cap
         column = ((699, 698), (698, 699))
         small = Presentation2((((5, 4), (4, 5)),) * 200)
         assert_kernels_agree(small, 5, 5)
@@ -277,7 +284,11 @@ class TestIncidenceRank:
         ranks = _box_ranks(copies, 699, 699)
         assert time.perf_counter() - start < 0.5
         assert ranks == _box_ranks(Presentation2((column,)), 699, 699) == (980000, 2, 3)
-        assert _box_ends(copies, 699, 699)[1] == 60000
+        monkeypatch.setattr("icmod.oracle.MAX_MASK_BITS", 980000)
+        assert _box_ranks(copies, 699, 699) == ranks
+        monkeypatch.setattr("icmod.oracle.MAX_MASK_BITS", 979999)
+        with pytest.raises(SizeBudgetExceeded, match="980000 mask bits"):
+            _box_ranks(copies, 699, 699)
 
     def test_long_box_near_the_cap(self):
         # 840,006 positions and 980,012 rows, counted with a few shifts of
@@ -318,8 +329,8 @@ class TestIncidenceRank:
         assert module_min_gens(build_Mk(STAIR_B, 3)) == STAIR_B.r + 2
 
     def test_each_verification_counts_one_box(self, monkeypatch, full_enumeration):
-        # the re-run reads mu and, for `length_refutes_splitting`, the length
-        # of the one M_k it builds from the same count
+        # the re-run counts the box of the one M_k it builds for mu, and once
+        # more for the length only where it checks `length_refutes_splitting`
         counted = []
         count = _box_ranks
         monkeypatch.setattr(
@@ -331,8 +342,9 @@ class TestIncidenceRank:
                 cert = choose_k(ideal)
                 counted.clear()
                 assert verify_certificate(cert)
-                assert len(counted) == 1, ideal
-                lengths += ("length_refutes_splitting", True) in cert.checks
+                length = any(name == "length_refutes_splitting" for name, _ in cert.checks)
+                assert len(counted) == 1 + length, ideal
+                lengths += length
         assert lengths > 0
 
 
@@ -509,6 +521,8 @@ class TestPolynomialColength:
         assert poly_ideal_colength([[(1, 30, 0)], [(1, 0, 30)]]) == 900
         assert poly_ideal_colength([[(1, 70, 0)], [(1, 0, 1)], [(1, 1, 0), (1, 0, 1)]]) == 1
         assert poly_ideal_colength([[(1, 0, 0)]]) == 0
+        # an empty generator adds no row
+        assert poly_ideal_colength([[(1, 2, 0)], [], [(1, 0, 3)]]) == 6
         # a zero coefficient is no power of x
         with pytest.raises(NotFiniteColength):
             poly_ideal_colength([[(0, 3, 0)], [(1, 0, 3)], [(1, 1, 1)]])
@@ -698,6 +712,12 @@ class TestEnumeration:
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             list(enumerate_complete(0, 3))
+
+    def test_duplicate_ideal_is_refused(self, monkeypatch):
+        # a pair listed twice builds (x, y) twice: the walk must not yield it twice
+        monkeypatch.setattr("icmod.oracle._primitive_pairs", lambda a, b: [SimpleFactor(1, 1)] * 2)
+        with pytest.raises(InternalInconsistency, match="duplicate ideal in enumeration"):
+            list(enumerate_complete(2, 2))
 
     def test_size_budget(self, monkeypatch):
         # (4, 5) holds 48 ideals with 163 generators: exactly at the cap, then one past it

@@ -183,7 +183,7 @@ class TestFittingIdeals:
 
 def lemma33(ideal, k):
     """Lemma 3.3's inequality b_i + b_r - k >= b_{i+1} for every i."""
-    b = ideal.bvec
+    b = [b for _, b in ideal.gens]
     return all(b[i] + ideal.br - k >= b[i + 1] for i in range(len(b) - 1))
 
 

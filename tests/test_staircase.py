@@ -53,8 +53,9 @@ class TestNormalize:
 
     def test_worked_staircase(self):
         ideal = normalize([(5, 0), (4, 2), (3, 3), (2, 4), (1, 6), (0, 7)])
-        assert ideal.avec == (5, 4, 3, 2, 1, 0)
-        assert ideal.bvec == (0, 2, 3, 4, 6, 7)
+        a, b = zip(*ideal.gens)
+        assert a == (5, 4, 3, 2, 1, 0)
+        assert b == (0, 2, 3, 4, 6, 7)
         assert ideal.r == 5
 
     def test_requires_pure_x_power(self):
@@ -81,8 +82,7 @@ class TestNormalize:
 
     @given(random_ideals())
     def test_antichain_shape(self, ideal):
-        a = ideal.avec
-        b = ideal.bvec
+        a, b = zip(*ideal.gens)
         assert all(a[i] > a[i + 1] for i in range(ideal.r))
         assert all(b[i] < b[i + 1] for i in range(ideal.r))
         assert b[0] == 0 and a[-1] == 0

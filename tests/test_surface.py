@@ -6,6 +6,7 @@ import importlib
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import icmod
@@ -69,6 +70,26 @@ def test_every_traced_target_is_bound():
         tracer.uninstall()
     assert unbound == []
     assert all(getattr(*traced_owner(t)) is originals[t] for t in spans.TARGETS)
+
+
+def test_the_verifier_calls_the_traced_oracles():
+    # the verifier looks the module oracles up when it runs, so the tracer,
+    # which rebinds them by name, records the spans it reports per layer:
+    # mu for both certificates, and the length for the one that checks it
+    stair_b = icmod.normalize([(7, 0), (5, 1), (3, 2), (2, 3), (1, 5), (0, 9)])
+    cube = icmod.normalize([(3, 0), (2, 1), (1, 2), (0, 3)])
+    certs = [icmod.choose_k(stair_b), icmod.choose_k(cube)]
+    assert ("length_refutes_splitting", True) in certs[1].checks
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.active = True
+    try:
+        assert all(icmod.verify_certificate(cert) for cert in certs)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    called = Counter(spans.TARGETS[fid] for fid, *_ in tracer.spans)
+    assert (called["oracle.module_min_gens"], called["oracle.module_colength"]) == (2, 1)
 
 
 def test_oracle_reads_nothing_of_the_graded_counts():
