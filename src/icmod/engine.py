@@ -7,8 +7,9 @@ The dispatch mirrors the case analysis of the underlying theory:
 * no simple factor of order one  -> any k in 1..r-1 works (default 1);
 * some (x, y^l) missing from the factorization (Case I) -> k is the least
   such l, unless the extra condition fails, which for an oriented ideal
-  happens for exactly three exceptional factorization patterns (N1..N3),
-  with k = r-2;
+  happens exactly for the factorizations (x,y)^{r-2}(x^alpha,y)(x,y^beta),
+  beta >= alpha, with k = r-2: every one at r = 3 (N1), and at r = 4 the two
+  with (alpha, beta) = (1, 2) (N2) and (2, 2) (N3);
 * all (x, y^l), l < r, divide the ideal (Case II) -> the residual order-one
   factor decides between k = 1 or 2 (r = 3), 3 (r = 4), r or r+1;
 * order 2 with xy not in I -> k = 1; order 2 with xy in I is open; order <= 1
@@ -20,15 +21,18 @@ oriented ideal needs a branch of its own for it.  `classify` picks the branch
 and the k the theory designates for it.
 
 A certificate records the branch, k, the presentation matrix and a list of
-named boolean checks; the verdict is IndecomposableByPaper only when every
-check re-derives to true.
+named boolean checks, made in one chain: Fitt_0(M_k) = I, Fitt_1(M_k) =
+(x, y^l), mu(M_k) = r + 2, the branch's factorization shape, then the
+clauses that refute a splitting, which stop at the first clause that settles
+the split.  The verdict is IndecomposableByPaper only when every check passes
+and the theory settles integral closedness for this k.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .errors import InternalInconsistency, NotComplete
@@ -103,31 +107,23 @@ def orient(ideal: MonomialIdeal) -> tuple[MonomialIdeal, bool]:
     return ideal, False
 
 
-# the factor counts of each exceptional factorization with its (alpha, beta):
-# N2 and N3 have the form (x,y)^{r-2}(x^alpha,y)(x,y^beta) of N1
-_N_PATTERNS = {
-    branch: ({SimpleFactor(*f): m for f, m in counts}, alpha, beta)
-    for branch, counts, alpha, beta in (
-        (Branch.N2, (((1, 1), 3), ((1, 2), 1)), 1, 2),
-        (Branch.N3, (((1, 1), 2), ((1, 2), 1), ((2, 1), 1)), 2, 2),
-    )
-}
+# the (alpha, beta) of the two exceptions at r = 4; at r = 3 every one is N1
+_N_AT_4 = {(1, 2): Branch.N2, (2, 2): Branch.N3}
 
 
-def _match_n1(counts: dict[SimpleFactor, int]) -> tuple[int, int] | None:
-    """Match the factor counts of (x,y)(x^alpha,y)(x,y^beta), beta >= alpha > 0."""
-    counts = dict(counts)
-    if sum(counts.values()) != 3:
+def _match_n(counts: dict[SimpleFactor, int], r: int) -> tuple[Branch, int, int] | None:
+    """Match the factor counts of (x,y)^{r-2}(x^alpha,y)(x,y^beta), beta >= alpha,
+    at order r: the branch N1 at r = 3, N2 or N3 at r = 4, else None."""
+    rest = Counter(counts)
+    rest[SimpleFactor(1, 1)] -= r - 2
+    pair = sorted(rest.elements(), key=lambda f: f.q)  # (x^alpha, y) first, if any
+    if rest[SimpleFactor(1, 1)] < 0 or len(pair) != 2:
         return None
-    if counts.get(SimpleFactor(1, 1), 0) < 1:
+    (alpha, one), (p, beta) = pair
+    if one != 1 or p != 1 or beta < alpha:
         return None
-    counts[SimpleFactor(1, 1)] -= 1
-    rest = [f for f, m in counts.items() for _ in range(m)]
-    assert len(rest) == 2
-    for first, second in (rest, rest[::-1]):
-        if first.q == 1 and second.p == 1 and second.q >= first.p:
-            return first.p, second.q
-    return None
+    branch = Branch.N1 if r == 3 else _N_AT_4.get((alpha, beta)) if r == 4 else None
+    return None if branch is None else (branch, alpha, beta)
 
 
 def classify(ideal: MonomialIdeal) -> Classification:
@@ -165,15 +161,13 @@ def _classify(
     if missing:
         if _condition_fk(ideal, missing[0]):
             return Classification(Branch.CASE_I, k=missing[0])
-        match = _match_n1(counts)
-        if match is not None:
-            return Classification(Branch.N1, k=r - 2, alpha=match[0], beta=match[1])
-        for branch, (pattern, alpha, beta) in _N_PATTERNS.items():
-            if counts == pattern:
-                return Classification(branch, k=r - 2, alpha=alpha, beta=beta)
-        raise InternalInconsistency(
-            f"Case I extra condition fails but no exceptional pattern matches: {ideal}"
-        )
+        match = _match_n(counts, r)
+        if match is None:
+            raise InternalInconsistency(
+                f"Case I extra condition fails but no exceptional pattern matches: {ideal}"
+            )
+        branch, alpha, beta = match
+        return Classification(branch, k=r - 2, alpha=alpha, beta=beta)
     # Case II: strip one copy of each (x, y^l), l = 1..r-1; one order-1 factor is left
     residual = Counter(counts)
     residual.subtract(SimpleFactor(1, ell) for ell in range(1, r))
@@ -213,35 +207,6 @@ def _split_length(counts: dict[SimpleFactor, int], ell: int) -> int:
     return ell + partner.colength()  # (x, y^l) has colength l
 
 
-def _indecomposability_checks(
-    ideal: MonomialIdeal,
-    matrix: Presentation2,
-    counts: dict[SimpleFactor, int],
-    ell: int,
-    fit0: MonomialIdeal,
-    colength: Callable[[Presentation2, MonomialIdeal], int],
-) -> list[tuple[str, bool]]:
-    """The clause chain of the splitting obstruction, as named checks, given
-    the factor counts and the y-exponent ell of Fitt_1(M_k)."""
-    checks: list[tuple[str, bool]] = []
-    if all(f.order > 1 for f in counts):
-        checks.append(("no_order_one_factor", True))
-        return checks
-    if ell < 1:
-        checks.append(("fitting1_has_positive_y_exponent", False))
-        return checks
-    xy_out = not ideal.member((1, ell))
-    checks.append((f"xy^{ell}_not_in_ideal", xy_out))
-    if not xy_out:
-        return checks
-    if counts.get(SimpleFactor(1, ell), 0) < 1:
-        checks.append((f"(x,y^{ell})_not_a_factor", True))
-        return checks
-    ok = colength(matrix, fit0) != _split_length(counts, ell)
-    checks.append(("length_refutes_splitting", ok))
-    return checks
-
-
 def _pattern_check(
     cls: Classification, ideal: MonomialIdeal, r: int
 ) -> tuple[str, bool] | None:
@@ -259,6 +224,46 @@ def _pattern_check(
         return None
     expected = Factorization.from_counts(Counter(SimpleFactor(*f) for f in factors))
     return (name, reconstruct(expected) == ideal)
+
+
+def _checks(
+    cls: Classification,
+    ideal: MonomialIdeal,
+    r: int,
+    counts: dict[SimpleFactor, int],
+    matrix: Presentation2,
+    k: int,
+    forced: bool,
+    min_gens: Callable[[Presentation2, MonomialIdeal], int],
+    colength: Callable[[Presentation2, MonomialIdeal], int],
+) -> Iterator[tuple[str, bool]]:
+    """The certificate's named checks on M_k = `matrix`, in order: the Fitting
+    ideals and mu, the branch's shape unless k is forced, then the clause
+    chain of the splitting obstruction, which stops at the first clause that
+    settles the split."""
+    fit0 = fitting0(matrix)
+    yield ("fitting0_equals_ideal", fit0 == ideal)
+    ell = ell_value(ideal, k)
+    fit1 = unchecked_normalize([(1, 0), (0, ell)])
+    yield (f"fitting1_equals_(x,y^{ell})", fitting1(matrix) == fit1)
+    yield ("min_gens_equals_r_plus_2", min_gens(matrix, fit0) == r + 2)
+    pattern = None if forced else _pattern_check(cls, ideal, r)
+    if pattern is not None:
+        yield pattern
+    if all(f.order > 1 for f in counts):
+        yield ("no_order_one_factor", True)
+        return
+    if ell < 1:
+        yield ("fitting1_has_positive_y_exponent", False)
+        return
+    xy_out = not ideal.member((1, ell))
+    yield (f"xy^{ell}_not_in_ideal", xy_out)
+    if not xy_out:
+        return
+    if counts.get(SimpleFactor(1, ell), 0) < 1:
+        yield (f"(x,y^{ell})_not_a_factor", True)
+        return
+    yield ("length_refutes_splitting", colength(matrix, fit0) != _split_length(counts, ell))
 
 
 def choose_k(
@@ -300,13 +305,23 @@ def _decide(
     counts = None if factorization is None else factorization.as_dict()
     cls = _classify(oriented, r, counts)
 
+    k = cls.k if forced_k is None else forced_k
     if cls.branch in (Branch.R2_OPEN, Branch.NOT_COVERED) and forced_k is None:
-        k, matrix, checks = None, None, ()
+        matrix, checks = None, ()
         verdict = Verdict.OPEN if cls.branch == Branch.R2_OPEN else Verdict.NOT_COVERED
     else:
-        k, matrix, checks, verdict = _certify(
-            cls, oriented, r, counts, forced_k, min_gens, colength
+        matrix = build_Mk(oriented, k)  # KOutOfRange for a bad forced k
+        assert counts is not None
+        checks = tuple(
+            _checks(cls, oriented, r, counts, matrix, k, forced_k is not None, min_gens, colength)
         )
+        # integral closedness of M_k is settled for k <= r-1 once Fitt_0(M_k) = I,
+        # and for the designated k of the Case II branches once the shape matches
+        known = k <= r - 1 or (
+            forced_k is None and cls.branch in (Branch.CASE_II_1, Branch.CASE_II_2)
+        )
+        ok = known and all(passed for _, passed in checks)
+        verdict = Verdict.INDECOMPOSABLE if ok else Verdict.UNKNOWN
     return Certificate(
         input=ideal,
         closed_input=closed,
@@ -321,50 +336,6 @@ def _decide(
         verdict=verdict,
         forced_k=forced_k is not None,
     )
-
-
-def _certify(
-    cls: Classification,
-    oriented: MonomialIdeal,
-    r: int,
-    counts: dict[SimpleFactor, int] | None,
-    forced_k: int | None,
-    min_gens: Callable[[Presentation2, MonomialIdeal], int],
-    colength: Callable[[Presentation2, MonomialIdeal], int],
-) -> tuple[int, Presentation2, tuple[tuple[str, bool], ...], Verdict]:
-    """k, M_k, the named checks and the verdict for a branch the theory covers,
-    given the order r and the factor counts of the factorization."""
-    k = cls.k if forced_k is None else forced_k
-    matrix = build_Mk(oriented, k)  # KOutOfRange for bad forced k
-
-    checks: list[tuple[str, bool]] = []
-    fit0 = fitting0(matrix)
-    fit0_ok = fit0 == oriented
-    checks.append(("fitting0_equals_ideal", fit0_ok))
-    ell = ell_value(oriented, k)
-    fit1_ok = fitting1(matrix) == unchecked_normalize([(1, 0), (0, ell)])
-    checks.append((f"fitting1_equals_(x,y^{ell})", fit1_ok))
-    mu_ok = min_gens(matrix, fit0) == r + 2
-    checks.append(("min_gens_equals_r_plus_2", mu_ok))
-
-    pattern = _pattern_check(cls, oriented, r) if forced_k is None else None
-    if pattern is not None:
-        checks.append(pattern)
-
-    assert counts is not None
-    checks.extend(_indecomposability_checks(oriented, matrix, counts, ell, fit0, colength))
-
-    # integral closedness of M_k is settled for k <= r-1 whenever
-    # Fitt_0(M_k) = I, and for the designated k of the Case II branches
-    integrally_closed_known = (k <= r - 1 and fit0_ok) or (
-        forced_k is None
-        and cls.branch in (Branch.CASE_II_1, Branch.CASE_II_2)
-        and (pattern is None or pattern[1])
-    )
-
-    all_ok = all(ok for _, ok in checks)
-    verdict = Verdict.INDECOMPOSABLE if all_ok and integrally_closed_known else Verdict.UNKNOWN
-    return k, matrix, tuple(checks), verdict
 
 
 def certificate_diff(cert: Certificate) -> list[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import KOutOfRange, NonMonomialMinor, NotFiniteColength, NotMPrimary
-from .staircase import Monomial, MonomialIdeal, unchecked_normalize
+from .staircase import Monomial, MonomialIdeal, checked_exponents, unchecked_normalize
 
 Entry = Monomial | None
 Column = tuple[Entry, Entry]
@@ -28,13 +28,10 @@ class Presentation2(NamedTuple("Presentation2", [("cols", tuple[Column, ...])]))
             raise ValueError("a presentation needs at least one column")
         if any(top is None and bot is None for top, bot in cols):
             raise ValueError("all-empty column")
-        # checked once, here: the Fitting ideals and graded counts trust them
-        for col in cols:
-            for e in col:
-                if e is not None:
-                    u, v = e
-                    if type(u) is not int or type(v) is not int or u < 0 or v < 0:
-                        raise ValueError(f"entries must be pairs of nonnegative ints, got {e}")
+        # checked once, here, by the rule of `normalize`: the Fitting ideals
+        # and graded counts trust them
+        for _ in checked_exponents(e for col in cols for e in col if e is not None):
+            pass
         return tuple.__new__(cls, (cols,))
 
     @classmethod
@@ -43,8 +40,11 @@ class Presentation2(NamedTuple("Presentation2", [("cols", tuple[Column, ...])]))
 
 
 def _checked_br(ideal: MonomialIdeal, k: int) -> int:
-    """b_r, after checking that the module parameter k lies in 1 <= k < b_r."""
+    """b_r, after checking that the module parameter k is an int (no bool) in
+    1 <= k < b_r."""
     br = ideal.br
+    if type(k) is not int:
+        raise KOutOfRange(f"k must be an int, got {k!r}")
     if not 1 <= k < br:
         raise KOutOfRange(f"k={k} outside 1 <= k < b_r={br}")
     return br

@@ -61,12 +61,13 @@ def _corners(best: dict[int, int]) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-def _checked(points: Iterable[Monomial]) -> Iterator[Monomial]:
-    """Each point as a pair of ints, once it is shown to be one of nonnegative integers."""
+def checked_exponents(points: Iterable[Monomial]) -> Iterator[Monomial]:
+    """Each point, once it is shown to be a pair of nonnegative ints; a bool,
+    a float or any other type is a ValueError, not converted."""
     for a, b in points:
-        if a < 0 or b < 0 or a != int(a) or b != int(b):
+        if type(a) is not int or type(b) is not int or a < 0 or b < 0:
             raise ValueError(f"exponents must be nonnegative integers, got {(a, b)}")
-        yield int(a), int(b)
+        yield a, b
 
 
 class MonomialIdeal(NamedTuple):
@@ -159,7 +160,7 @@ class MonomialIdeal(NamedTuple):
 
 def normalize(raw: Iterable[Monomial]) -> MonomialIdeal:
     """Canonicalize a generating set; reject sets that are not m-primary."""
-    return unchecked_normalize(_checked(raw))
+    return unchecked_normalize(checked_exponents(raw))
 
 
 def unchecked_normalize(points: Iterable[Monomial]) -> MonomialIdeal:

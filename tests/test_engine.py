@@ -23,7 +23,7 @@ from icmod import (
     verify_certificate,
     zariski_factor,
 )
-from icmod.engine import _match_n1
+from icmod.engine import _match_n
 from icmod.newton import SimpleFactor
 
 M = normalize([(1, 0), (0, 1)])
@@ -64,9 +64,17 @@ class TestClassify:
     def test_n1_match_needs_the_factor_x_y(self):
         # three factors, none of them (x, y): no (x,y)(x^alpha,y)(x,y^beta)
         counts = {SimpleFactor(1, 2): 1, SimpleFactor(2, 1): 1, SimpleFactor(1, 3): 1}
-        assert _match_n1(counts) is None
+        assert _match_n(counts, 3) is None
         counts = {SimpleFactor(1, 1): 1, SimpleFactor(2, 1): 1, SimpleFactor(1, 3): 1}
-        assert _match_n1(counts) == (2, 3)
+        assert _match_n(counts, 3) == (Branch.N1, 2, 3)
+
+    def test_exception_rule_needs_its_shape_and_order(self):
+        f = SimpleFactor
+        assert _match_n({f(1, 1): 1, f(3, 1): 1, f(1, 2): 1}, 3) is None  # beta < alpha
+        assert _match_n({f(1, 1): 1, f(1, 2): 1, f(1, 3): 1}, 3) is None  # no (x^alpha, y)
+        assert _match_n({f(1, 1): 3, f(2, 1): 1, f(1, 3): 1}, 5) is None  # r = 5
+        assert _match_n({f(1, 1): 2, f(3, 1): 1, f(1, 3): 1}, 4) is None  # not N2 or N3
+        assert _match_n({f(1, 1): 2, f(1, 2): 1, f(2, 1): 1}, 4) == (Branch.N3, 2, 2)
 
     def test_n1_from_cube_of_maximal_ideal(self):
         cls = classify(M ** 3)
@@ -222,9 +230,27 @@ class TestChooseK:
         cert = choose_k(STAIR_B, forced_k=7)
         assert cert.verdict == Verdict.UNKNOWN
 
+    def test_forced_designated_case_ii_k_is_unknown(self):
+        # the Case II premise settles integral closedness for the designated k
+        # of an unforced decision only: forced, the same k > r - 1 is Unknown
+        ideal = M * xy_ideal(1, 2) * xy_ideal(1, 3) * xy_ideal(1, 4) * xy_ideal(1, 5)
+        cert = choose_k(ideal)
+        assert (cert.branch, cert.order, cert.k) == (Branch.CASE_II_2, 5, 6)
+        assert cert.verdict == Verdict.INDECOMPOSABLE
+        forced = choose_k(ideal, forced_k=6)
+        assert all(ok for _, ok in forced.checks)
+        assert forced.verdict == Verdict.UNKNOWN
+
     def test_forced_k_out_of_range_raises(self):
         with pytest.raises(KOutOfRange):
             choose_k(STAIR_B, forced_k=9)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True])
+    def test_k_that_is_not_an_int_raises(self, k):
+        with pytest.raises(KOutOfRange):
+            build_Mk(STAIR_B, k)
+        with pytest.raises(KOutOfRange):
+            choose_k(STAIR_B, forced_k=k)
 
     def test_orientation_invariance(self, small_complete):
         for ideal in small_complete:

@@ -1,0 +1,78 @@
+"""Family sweeps: the paper's case table along its own parameters.
+
+The enumerated boxes reach the rare branches only a few times, so each family
+here is built from its factors, and the branch and k the paper designates for
+it are written out below, not read from `engine`.  Every member is decided,
+must reach that branch and k with the verdict IndecomposableByPaper, and must
+verify.
+"""
+
+import operator
+from functools import reduce
+
+import pytest
+
+from icmod import Branch, Verdict, choose_k, normalize, verify_certificate
+
+ALPHA_BETA_MAX = 20  # (x,y)(x^alpha,y)(x,y^beta): 210 members
+STACK_R_MAX = 16  # prod_{l<r} (x,y^l) times one order-one factor
+STACK_FACTOR_MAX = 16  # alpha or beta of that factor: 179 and 224 members
+
+
+def x_power(alpha):
+    """(x^alpha, y)."""
+    return normalize([(alpha, 0), (0, 1)])
+
+
+def y_power(beta):
+    """(x, y^beta)."""
+    return normalize([(1, 0), (0, beta)])
+
+
+def stack(r):
+    """(x,y)(x,y^2)...(x,y^(r-1))."""
+    return reduce(operator.mul, (y_power(ell) for ell in range(1, r)))
+
+
+def case_ii_1_k(r):
+    return 1 if r == 3 else 3 if r == 4 else r
+
+
+def n1_family():
+    for beta in range(1, ALPHA_BETA_MAX + 1):
+        for alpha in range(1, beta + 1):
+            ideal = y_power(1) * x_power(alpha) * y_power(beta)
+            # beta = 2 completes the stack (x,y)(x,y^2): Case II, residual (x^alpha,y)
+            yield ideal, Branch.CASE_II_1 if beta == 2 else Branch.N1, 1
+
+
+def case_ii_1_family():
+    for r in range(3, STACK_R_MAX + 1):
+        for alpha in range(1, STACK_FACTOR_MAX + 1):
+            # a_0 = r - 1 + alpha against b_r = r(r-1)/2 + 1: where a_0 >= b_r,
+            # orient flips the member into another branch, so it is left out
+            if r - 1 + alpha >= r * (r - 1) // 2 + 1:
+                continue
+            yield stack(r) * x_power(alpha), Branch.CASE_II_1, case_ii_1_k(r)
+
+
+def case_ii_2_family():
+    for r in range(3, STACK_R_MAX + 1):
+        for beta in range(1, STACK_FACTOR_MAX + 1):
+            ideal = stack(r) * y_power(beta)
+            if beta == 1:  # the residual (x, y) is also (x^1, y)
+                yield ideal, Branch.CASE_II_1, case_ii_1_k(r)
+            else:
+                k = 2 if r == 3 else r + 1 if beta == r else r
+                yield ideal, Branch.CASE_II_2, k
+
+
+@pytest.mark.parametrize("family", [n1_family, case_ii_1_family, case_ii_2_family])
+def test_family_reaches_its_branch_and_k(family):
+    members = list(family())
+    assert len(members) >= 100
+    for ideal, branch, k in members:
+        cert = choose_k(ideal)
+        assert not cert.transposed, ideal
+        assert (cert.branch, cert.k, cert.verdict) == (branch, k, Verdict.INDECOMPOSABLE), ideal
+        assert verify_certificate(cert), ideal

@@ -76,6 +76,15 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize([(2, 0), (0, 1.5)])
 
+    @pytest.mark.parametrize(
+        "point", [(-1, 0), (0, -2), (1.0, 0), (1, "y"), (1, 2, 3), (True, 1), (2.0, 0)]
+    )
+    def test_exponents_are_nonnegative_ints(self, point):
+        # the one exponent rule, which Presentation2 applies to its entries too:
+        # a bool or an integral float is refused, not converted
+        with pytest.raises(ValueError):
+            normalize([(2, 0), point, (0, 1)])
+
     @given(random_ideals())
     def test_idempotent(self, ideal):
         assert normalize(ideal.gens) == ideal
