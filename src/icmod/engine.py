@@ -24,8 +24,8 @@ A certificate records the branch, k, the presentation matrix and a list of
 named boolean checks, made in one chain: Fitt_0(M_k) = I, Fitt_1(M_k) =
 (x, y^l), mu(M_k) = r + 2, the branch's factorization shape, then the
 clauses that refute a splitting, which stop at the first clause that settles
-the split.  The verdict is IndecomposableByPaper only when every check passes
-and the theory settles integral closedness for this k.
+the split.  The verdict is IndecomposableByPaper, k is certified, when every
+check passes and k <= r-1 or k is the designated k, forced or not.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class Verdict(enum.Enum):
     INDECOMPOSABLE = "IndecomposableByPaper"
     OPEN = "OpenPerPaper"
     NOT_COVERED = "NotCovered"
-    # for user-forced k outside the ranges the theory settles
+    # k not certified: k is certified when every check passes and k <= r-1 or k == cls.k
     UNKNOWN = "Unknown"
 
 
@@ -91,7 +91,6 @@ class Certificate(NamedTuple):
     matrix: Presentation2 | None
     checks: tuple[tuple[str, bool], ...]
     verdict: Verdict
-    forced_k: bool = False
 
 
 def orient(ideal: MonomialIdeal) -> tuple[MonomialIdeal, bool]:
@@ -190,7 +189,8 @@ def _condition_fk(ideal: MonomialIdeal, k: int) -> bool:
 
 
 def valid_k_set(cls: Classification, r: int) -> list[int]:
-    """All k the theory certifies for this branch."""
+    """The k the theory designates, 1..r-1 for NoOrder1Factor, else `cls.k`; not
+    every certified k (all checks pass, and k <= r-1 or k == cls.k)."""
     if cls.branch == Branch.NO_ORDER1_FACTOR:
         return list(range(1, r))
     return [] if cls.k is None else [cls.k]
@@ -233,12 +233,11 @@ def _checks(
     counts: dict[SimpleFactor, int],
     matrix: Presentation2,
     k: int,
-    forced: bool,
     min_gens: Callable[[Presentation2, MonomialIdeal], int],
     colength: Callable[[Presentation2, MonomialIdeal], int],
 ) -> Iterator[tuple[str, bool]]:
     """The certificate's named checks on M_k = `matrix`, in order: the Fitting
-    ideals and mu, the branch's shape unless k is forced, then the clause
+    ideals and mu, the branch's shape at its designated k, then the clause
     chain of the splitting obstruction, which stops at the first clause that
     settles the split."""
     fit0 = fitting0(matrix)
@@ -247,7 +246,7 @@ def _checks(
     fit1 = unchecked_normalize([(1, 0), (0, ell)])
     yield (f"fitting1_equals_(x,y^{ell})", fitting1(matrix) == fit1)
     yield ("min_gens_equals_r_plus_2", min_gens(matrix, fit0) == r + 2)
-    pattern = None if forced else _pattern_check(cls, ideal, r)
+    pattern = _pattern_check(cls, ideal, r) if k == cls.k else None
     if pattern is not None:
         yield pattern
     if all(f.order > 1 for f in counts):
@@ -306,20 +305,17 @@ def _decide(
     cls = _classify(oriented, r, counts)
 
     k = cls.k if forced_k is None else forced_k
-    if cls.branch in (Branch.R2_OPEN, Branch.NOT_COVERED) and forced_k is None:
+    if k is None:  # R2Open and NotCovered designate no k
         matrix, checks = None, ()
         verdict = Verdict.OPEN if cls.branch == Branch.R2_OPEN else Verdict.NOT_COVERED
     else:
         matrix = build_Mk(oriented, k)  # KOutOfRange for a bad forced k
         assert counts is not None
-        checks = tuple(
-            _checks(cls, oriented, r, counts, matrix, k, forced_k is not None, min_gens, colength)
-        )
+        checks = tuple(_checks(cls, oriented, r, counts, matrix, k, min_gens, colength))
         # integral closedness of M_k is settled for k <= r-1 once Fitt_0(M_k) = I,
-        # and for the designated k of the Case II branches once the shape matches
-        known = k <= r - 1 or (
-            forced_k is None and cls.branch in (Branch.CASE_II_1, Branch.CASE_II_2)
-        )
+        # and for the designated k once the shape matches; only the Case II branches
+        # designate a k > r-1 (15 ideals of (10,12)), every other branch a k <= r-1
+        known = k <= r - 1 or k == cls.k
         ok = known and all(passed for _, passed in checks)
         verdict = Verdict.INDECOMPOSABLE if ok else Verdict.UNKNOWN
     return Certificate(
@@ -334,7 +330,6 @@ def _decide(
         matrix=matrix,
         checks=checks,
         verdict=verdict,
-        forced_k=forced_k is not None,
     )
 
 
@@ -343,21 +338,18 @@ def certificate_diff(cert: Certificate) -> list[str]:
     oracle; name every recorded field it does not reproduce (empty means valid).
 
     The decision takes both from the graded count, so a fault in either shows
-    up as a disagreement.  A forced k, or another certified k of NoOrder1Factor,
-    is re-run as recorded.
+    up as a disagreement.
     """
-    other_k = cert.branch == Branch.NO_ORDER1_FACTOR and 0 < (cert.k or 0) < cert.order
-    k = cert.k if cert.forced_k or other_k else None
     try:
         fresh = _decide(
-            cert.input, k, cert.closed_input is not None, module_min_gens, module_colength
+            cert.input, cert.k, cert.closed_input is not None, module_min_gens, module_colength
         )
     except Exception as exc:  # noqa: BLE001 - report, never raise
         return [f"re-running the decision failed: {exc}"]
     diffs = []
     for name, recorded, derived in zip(Certificate._fields, cert, fresh):
         # tuples compare equal across their subclasses: the types must match too
-        if name == "forced_k" or type(recorded) is type(derived) and recorded == derived:
+        if type(recorded) is type(derived) and recorded == derived:
             continue
         if name == "checks":
             unmatched = [n for n, ok in cert.checks if (n, ok) not in fresh.checks]

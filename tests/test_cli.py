@@ -188,6 +188,18 @@ class TestDecide:
             "bce78245c51d3af58411bb80f0da5321482a0dd2c62d36ebaef328985194d5c9"
         )
 
+    def test_forcing_the_recorded_k_prints_the_same_document(self, capsys, full_enumeration):
+        # a document can be re-decided from its own k: the same bytes come back
+        decided = 0
+        for ideal in full_enumeration:
+            src = format_ideal(ideal)
+            out = run(capsys, "decide", src, "--json")[1]
+            k = json.loads(out)["k"]
+            if k is not None:
+                assert run(capsys, "decide", src, "--k", str(k), "--json")[1] == out, src
+                decided += 1
+        assert decided == 327
+
     def test_forced_k(self, capsys):
         _, out, _ = run(capsys, "decide", STAIR_B_SRC, "--k", "7", "--json")
         assert json.loads(out)["verdict"] == "Unknown"

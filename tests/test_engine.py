@@ -13,6 +13,7 @@ from icmod import (
     choose_k,
     classify,
     closure,
+    enumerate_complete,
     normalize,
     build_Mk,
     orient,
@@ -23,7 +24,7 @@ from icmod import (
     verify_certificate,
     zariski_factor,
 )
-from icmod.engine import _match_n
+from icmod.engine import _classify, _match_n
 from icmod.newton import SimpleFactor
 
 M = normalize([(1, 0), (0, 1)])
@@ -126,6 +127,22 @@ class TestClassify:
         with pytest.raises(NotComplete):
             classify(normalize([(3, 0), (0, 2)]))
 
+    def test_contract_breaches_are_internal_inconsistencies(self):
+        # direct calls that break _classify's contract reach its three guards
+        counts = zariski_factor(STAIR_B).as_dict()
+        with pytest.raises(InternalInconsistency, match=r"complete ideal with mu != ord \+ 1"):
+            _classify(STAIR_B, STAIR_B.r + 1, counts)
+        # cl(x^3, y^6) = (x^3, x^2y^2, xy^4, y^6) transposed is not oriented
+        wide = closure(normalize([(3, 0), (0, 6)])).transpose()
+        assert wide.gens == ((6, 0), (4, 1), (2, 2), (0, 3))
+        with pytest.raises(InternalInconsistency, match=r"with a_\(r-1\) != 1"):
+            _classify(wide, 3, zariski_factor(wide).as_dict())
+        ideal = normalize([(4, 0), (2, 1), (1, 2), (0, 4)])
+        f = SimpleFactor
+        counts = {f(1, 1): 1, f(1, 2): 1, f(2, 1): 2}
+        with pytest.raises(InternalInconsistency, match="not a single order-one factor"):
+            _classify(ideal, 3, counts)
+
 
 class TestChooseK:
     def test_no_order_one_factor_takes_k_one(self):
@@ -138,11 +155,14 @@ class TestChooseK:
         assert (cert.branch, cert.k) == (Branch.CASE_I, 3)
         assert cert.verdict == Verdict.INDECOMPOSABLE
 
-    def test_forced_k_skips_the_pattern_check(self, monkeypatch):
+    def test_a_k_other_than_the_designated_k_skips_the_pattern_check(self, monkeypatch):
         monkeypatch.setattr("icmod.engine._pattern_check", None)
         cert = choose_k(M ** 3 * xy_ideal(1, 2), forced_k=1)
         assert cert.branch == Branch.N2
         assert not any(name.startswith("matches_") for name, _ in cert.checks)
+        monkeypatch.undo()
+        designated = choose_k(M ** 3 * xy_ideal(1, 2), forced_k=2)
+        assert ("matches_(x,y)^2(x^1,y)(x,y^2)", True) in designated.checks
 
     def test_exceptional_patterns_shift_k(self):
         cube = choose_k(M ** 3)
@@ -223,23 +243,32 @@ class TestChooseK:
 
     def test_forced_k_in_certified_range(self):
         cert = choose_k(STAIR_A, forced_k=3)
-        assert cert.k == 3 and cert.forced_k
+        assert cert.k == 3
         assert cert.verdict == Verdict.INDECOMPOSABLE
 
     def test_forced_k_outside_settled_range_is_unknown(self):
         cert = choose_k(STAIR_B, forced_k=7)
         assert cert.verdict == Verdict.UNKNOWN
 
-    def test_forced_designated_case_ii_k_is_unknown(self):
-        # the Case II premise settles integral closedness for the designated k
-        # of an unforced decision only: forced, the same k > r - 1 is Unknown
+    def test_forced_designated_case_ii_k_is_the_unforced_certificate(self):
+        # the Case II premise settles integral closedness for the designated
+        # k > r - 1, however k was given
         ideal = M * xy_ideal(1, 2) * xy_ideal(1, 3) * xy_ideal(1, 4) * xy_ideal(1, 5)
         cert = choose_k(ideal)
         assert (cert.branch, cert.order, cert.k) == (Branch.CASE_II_2, 5, 6)
-        assert cert.verdict == Verdict.INDECOMPOSABLE
         forced = choose_k(ideal, forced_k=6)
-        assert all(ok for _, ok in forced.checks)
-        assert forced.verdict == Verdict.UNKNOWN
+        assert forced == cert
+        assert forced.verdict == Verdict.INDECOMPOSABLE
+
+    def test_forcing_the_designated_k_is_the_unforced_decision(self):
+        decided = 0
+        for ideal in enumerate_complete(8, 10):
+            cert = choose_k(ideal)
+            if cert.k is not None:
+                forced = choose_k(ideal, forced_k=cert.k)
+                assert forced == cert and list(map(type, forced)) == list(map(type, cert))
+                decided += 1
+        assert decided == 1715
 
     def test_forced_k_out_of_range_raises(self):
         with pytest.raises(KOutOfRange):
@@ -359,7 +388,7 @@ class TestCertificates:
         )
         assert not verify_certificate(forged)
         # the same k with the checks re-derived there is certified
-        honest = choose_k(ideal, forced_k=2)._replace(forced_k=False)
+        honest = choose_k(ideal, forced_k=2)
         assert certificate_diff(honest) == []
 
     def test_single_field_forgeries_rejected(self, full_enumeration):

@@ -3,11 +3,12 @@
 The enumerated boxes reach the rare branches only a few times, so each family
 here is built from its factors, and the branch and k the paper designates for
 it are written out below, not read from `engine`.  Every member is decided,
-must reach that branch and k with the verdict IndecomposableByPaper, and must
-verify.
+must reach that branch and k with the verdict IndecomposableByPaper (OpenPerPaper
+for R2Open, which designates no k), and must verify.
 """
 
 import operator
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -17,6 +18,8 @@ from icmod import Branch, Verdict, choose_k, normalize, verify_certificate
 ALPHA_BETA_MAX = 20  # (x,y)(x^alpha,y)(x,y^beta): 210 members
 STACK_R_MAX = 16  # prod_{l<r} (x,y^l) times one order-one factor
 STACK_FACTOR_MAX = 16  # alpha or beta of that factor: 179 and 224 members
+CASE_I_MAX = 30  # m^n (x,y^l) with n, l <= 30: 900 members
+SPLIT_MAX = 30  # (x,y^c)(x,y^d) with 2 <= c, d <= 30: 841 members
 
 
 def x_power(alpha):
@@ -75,4 +78,45 @@ def test_family_reaches_its_branch_and_k(family):
         cert = choose_k(ideal)
         assert not cert.transposed, ideal
         assert (cert.branch, cert.k, cert.verdict) == (branch, k, Verdict.INDECOMPOSABLE), ideal
+        assert verify_certificate(cert), ideal
+
+
+def case_i_family():
+    m = y_power(1)
+    for n in range(1, CASE_I_MAX + 1):
+        for ell in range(1, CASE_I_MAX + 1):
+            ideal = m**n * y_power(ell)  # order r = n + 1, factors (x,y)^n (x,y^l)
+            if n == 1:  # xy lies in m (x, y^l)
+                yield ideal, Branch.R2_OPEN, None
+            elif n == 2 and ell == 2:  # (x,y)^2 (x,y^2): the stack (x,y)(x,y^2) and (x,y)
+                yield ideal, Branch.CASE_II_1, 1
+            elif n == 2:  # (x,y)(x^1,y)(x,y^l) at r = 3
+                yield ideal, Branch.N1, 1
+            elif n == 3 and ell == 2:  # (x,y)^2 (x^1,y)(x,y^2) at r = 4
+                yield ideal, Branch.N2, 2
+            else:  # the least l missing from the factors (x,y^l), l < r
+                yield ideal, Branch.CASE_I, 3 if ell == 2 else 2
+
+
+def r2_split_family():
+    for c in range(2, SPLIT_MAX + 1):
+        for d in range(2, SPLIT_MAX + 1):
+            yield y_power(c) * y_power(d), Branch.R2_SPLIT, 1
+
+
+@pytest.mark.parametrize(
+    "family, branches",
+    [
+        (case_i_family, {"CaseI": 839, "N1": 29, "N2": 1, "CaseII1": 1, "R2Open": 30}),
+        (r2_split_family, {"R2Split": 841}),
+    ],
+)
+def test_family_reaches_its_branch_k_and_verdict(family, branches):
+    members = list(family())
+    assert Counter(branch.value for _, branch, _ in members) == branches
+    for ideal, branch, k in members:
+        cert = choose_k(ideal)
+        verdict = Verdict.OPEN if branch == Branch.R2_OPEN else Verdict.INDECOMPOSABLE
+        assert not cert.transposed, ideal
+        assert (cert.branch, cert.k, cert.verdict) == (branch, k, verdict), ideal
         assert verify_certificate(cert), ideal

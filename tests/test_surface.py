@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import icmod
 from bench import spans
-from icmod.cli import build_parser
+from icmod.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -116,3 +117,17 @@ def test_cli_import_loads_no_dataclasses():
         env={"PYTHONPATH": str(ROOT / "src")},
     ).stdout
     assert out == "[]\n"
+
+
+def test_every_certificate_field_is_in_the_decide_json(capsys):
+    # a document carries the whole certificate, so it can be read back: a
+    # field the JSON does not carry fails here
+    keys = {"ideal": "normalized_input"}
+    for argv, closed in ((["(x^2, x*y, y^3)"], False), (["(x^3, y^2)", "--close-first"], True)):
+        assert main(["decide", *argv, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for field in icmod.Certificate._fields:
+            if field == "closed_input":
+                assert (field in doc) == closed
+            else:
+                assert keys.get(field, field) in doc, field
