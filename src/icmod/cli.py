@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
 from typing import Any
@@ -48,7 +49,7 @@ from .staircase import MonomialIdeal, normalize
 
 def _emit(args, payload: dict[str, Any], human: str) -> None:
     if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=False)
+        json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         sys.stdout.write(human + "\n")
@@ -135,54 +136,53 @@ def _show(value) -> tuple[Any, str]:
     return [list(v) for v in value.vertices], ", ".join(f"({p},{q})" for p, q in value.vertices)
 
 
-def _emit_value(args, key: str, value) -> None:
-    payload, human = _show(value)
-    _emit(args, {key: payload}, human)
-
-
 # ---------------------------------------------------------------- handlers
 
-# The subcommands that parse one ideal, call one function and print its one
-# value: name, JSON key, function, help text and whether it takes --k, in
-# which case the function gets M_k instead of the ideal.
+# Each operand's parser and add_argument options; argparse reads the integer of --k.
+_OPERANDS = {
+    "expr": (parse_ideal, {"help": "ideal expression, e.g. \"(x^2, x*y, y^3)\""}),
+    "monomial": (parse_monomial, {"help": "monomial, e.g. x*y^3"}),
+    "left": (parse_ideal, {}),
+    "right": (parse_ideal, {}),
+    "polys": (parse_polys, {"help": "comma separated polynomials, e.g. \"x^3, y^3, x+y\""}),
+    "--k": (None, {"type": int, "required": True, "help": "module parameter k"}),
+}
+
+# The subcommands, in --help order, that parse their operands in the order
+# listed, call one function on them and print its one value: name, JSON key,
+# function, help text and operands.  With --k the function gets M_k, not the ideal.
 _ONE_VALUE = (
-    ("normalize", "gens", lambda ideal: ideal, "canonical minimal generators", False),
-    ("order", "order", MonomialIdeal.order, "order of the ideal", False),
-    ("mu", "mu", MonomialIdeal.num_min_gens, "number of minimal generators", False),
-    ("colength", "colength", MonomialIdeal.colength, "length of R modulo the ideal", False),
-    ("closure", "gens", ideal_closure, "integral closure", False),
-    ("complete", "complete", is_complete, "is the ideal integrally closed?", False),
-    ("vertices", "vertices", newton_vertices, "Newton polygon vertices", False),
-    ("factor", "factorization", zariski_factor, "Zariski factorization into simple closures", False),
-    ("construct", "matrix", lambda matrix: matrix, "presentation matrix of M_k", True),
-    ("fitting0", "gens", fitting0, "ideal of 2x2 minors of M_k", True),
-    ("fitting1", "gens", fitting1, "ideal of entries of M_k", True),
-    ("module-length", "length", module_colength, "length of R^2 / M_k (oracle)", True),
-    ("module-mu", "mu", module_min_gens, "minimal generators of M_k (oracle)", True),
+    ("normalize", "gens", lambda ideal: ideal, "canonical minimal generators", ("expr",)),
+    ("order", "order", MonomialIdeal.order, "order of the ideal", ("expr",)),
+    ("mu", "mu", MonomialIdeal.num_min_gens, "number of minimal generators", ("expr",)),
+    ("colength", "colength", MonomialIdeal.colength, "length of R modulo the ideal", ("expr",)),
+    ("member", "member", lambda mono, ideal: ideal.member(mono), "monomial membership test",
+     ("monomial", "expr")),
+    ("product", "gens", operator.mul, "product of two ideals", ("left", "right")),
+    ("closure", "gens", ideal_closure, "integral closure", ("expr",)),
+    ("complete", "complete", is_complete, "is the ideal integrally closed?", ("expr",)),
+    ("vertices", "vertices", newton_vertices, "Newton polygon vertices", ("expr",)),
+    ("factor", "factorization", zariski_factor, "Zariski factorization into simple closures",
+     ("expr",)),
+    ("construct", "matrix", lambda matrix: matrix, "presentation matrix of M_k", ("expr", "--k")),
+    ("fitting0", "gens", fitting0, "ideal of 2x2 minors of M_k", ("expr", "--k")),
+    ("fitting1", "gens", fitting1, "ideal of entries of M_k", ("expr", "--k")),
+    ("module-length", "length", module_colength, "length of R^2 / M_k (oracle)", ("expr", "--k")),
+    ("module-mu", "mu", module_min_gens, "minimal generators of M_k (oracle)", ("expr", "--k")),
+    ("poly-colength", "colength", poly_ideal_colength, "colength of a polynomial ideal",
+     ("polys",)),
 )
 
 
-def _one_value(key: str, function, k: bool):
+def _one_value(key: str, function, operands):
     def handler(args):
-        value = parse_ideal(args.expr)
-        if k:
-            value = build_Mk(value, args.k)
-        _emit_value(args, key, function(value))
+        values = [_OPERANDS[op][0](getattr(args, op)) for op in operands if op != "--k"]
+        if "--k" in operands:
+            values[0] = build_Mk(values[0], args.k)
+        payload, human = _show(function(*values))
+        _emit(args, {key: payload}, human)
 
     return handler
-
-
-def _cmd_member(args):
-    mono = parse_monomial(args.monomial)
-    _emit_value(args, "member", parse_ideal(args.expr).member(mono))
-
-
-def _cmd_product(args):
-    _emit_value(args, "gens", parse_ideal(args.left) * parse_ideal(args.right))
-
-
-def _cmd_poly_colength(args):
-    _emit_value(args, "colength", poly_ideal_colength(parse_polys(args.polys)))
 
 
 def _cmd_decide(args):
@@ -290,7 +290,10 @@ def _cmd_selftest(args):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # worded as for type=int, not with this function's name
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
@@ -307,37 +310,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_, expr=True, k=False):
+    def add(name, handler, help_, operands):
         p = sub.add_parser(name, help=help_)
-        if expr:
-            p.add_argument("expr", help="ideal expression, e.g. \"(x^2, x*y, y^3)\"")
-        if k:
-            p.add_argument("--k", type=int, required=True, help="module parameter k")
+        for op in operands:
+            p.add_argument(op, **_OPERANDS[op][1])
         p.add_argument("--json", action="store_true", help="machine readable output")
         p.set_defaults(handler=handler)
         return p
 
-    for name, key, function, help_, k in _ONE_VALUE:
-        add(name, _one_value(key, function, k), help_, k=k)
-        if name == "colength":  # --help lists member and product here
-            p = add("member", _cmd_member, "monomial membership test", expr=False)
-            p.add_argument("monomial", help="monomial, e.g. x*y^3")
-            p.add_argument("expr", help="ideal expression")
-            p = add("product", _cmd_product, "product of two ideals", expr=False)
-            p.add_argument("left")
-            p.add_argument("right")
-    p = add("poly-colength", _cmd_poly_colength, "colength of a polynomial ideal", expr=False)
-    p.add_argument("polys", help="comma separated polynomials, e.g. \"x^3, y^3, x+y\"")
-    p = add("decide", _cmd_decide, "run the decision procedure")
+    for name, key, function, help_, operands in _ONE_VALUE:
+        add(name, _one_value(key, function, operands), help_, operands)
+    p = add("decide", _cmd_decide, "run the decision procedure", ("expr",))
     p.add_argument("--close-first", action="store_true", help="close the ideal first")
     p.add_argument("--k", type=int, default=None, help="force this k")
     p.add_argument("--show-valid-k", action="store_true", help="list certified k values")
-    p = add("enumerate", _cmd_enumerate, "all complete ideals within bounds", expr=False)
+    p = add("enumerate", _cmd_enumerate, "all complete ideals within bounds", ())
     p.add_argument("--amax", type=_positive_int, required=True)
     p.add_argument("--bmax", type=_positive_int, required=True)
-    p = add("render", _cmd_render, "write an SVG figure")
+    p = add("render", _cmd_render, "write an SVG figure", ("expr",))
     p.add_argument("--out", required=True, help="output SVG path")
-    add("selftest", _cmd_selftest, "run built-in consistency checks", expr=False)
+    add("selftest", _cmd_selftest, "run built-in consistency checks", ())
     return parser
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from icmod import format_ideal, module_colength, parse_ideal, render_svg
+from icmod import format_ideal, module_colength, module_min_gens, parse_ideal, render_svg
 from icmod.cli import main
 from icmod.expr import format_monomial
 
@@ -274,9 +274,12 @@ class TestOtherCommands:
         assert all(c["pass"] is True for c in checks)
 
     def test_selftest_compares_the_module_lengths(self, capsys, monkeypatch):
-        monkeypatch.setattr("icmod.cli.module_colength", lambda pres: module_colength(pres) + 1)
-        code, out, _ = run(capsys, "selftest")
-        assert code == 1 and "[FAIL] mini sweep over bounds (3,4)" in out
+        # the oracle's length against the graded one, its mu against the graded mu and r + 2
+        for fault in (module_colength, module_min_gens):
+            with monkeypatch.context() as patch:
+                patch.setattr(f"icmod.cli.{fault.__name__}", lambda pres, f=fault: f(pres) + 1)
+                code, out, _ = run(capsys, "selftest")
+            assert code == 1 and "[FAIL] mini sweep over bounds (3,4)" in out, fault.__name__
 
     def test_selftest_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -396,7 +399,15 @@ class TestExitCodes:
         assert (proc.returncode, proc.stderr) == (1, b"")
 
     @pytest.mark.parametrize("bounds", [("0", "1"), ("1", "0"), ("-2", "3"), ("two", "3")])
-    def test_enumerate_bounds_must_be_positive(self, bounds):
+    def test_enumerate_bounds_must_be_positive(self, bounds, capsys):
         with pytest.raises(SystemExit) as info:
             main(["enumerate", "--amax", bounds[0], "--bmax", bounds[1]])
         assert info.value.code == 2
+        reason = {
+            ("0", "1"): "--amax: must be >= 1, got 0",
+            ("1", "0"): "--bmax: must be >= 1, got 0",
+            ("-2", "3"): "--amax: must be >= 1, got -2",
+            ("two", "3"): "--amax: invalid int value: 'two'",
+        }[bounds]
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"icmod enumerate: error: argument {reason}"

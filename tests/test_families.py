@@ -5,21 +5,45 @@ here is built from its factors, and the branch and k the paper designates for
 it are written out below, not read from `engine`.  Every member is decided,
 must reach that branch and k with the verdict IndecomposableByPaper (OpenPerPaper
 for R2Open, which designates no k), and must verify.
+
+The last test draws random multisets of simple factors and checks what holds
+for every complete ideal.
 """
 
 import operator
 from collections import Counter
 from functools import reduce
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from icmod import Branch, Verdict, choose_k, normalize, verify_certificate
+from icmod import (
+    Branch,
+    Factorization,
+    SimpleFactor,
+    Verdict,
+    build_Mk,
+    choose_k,
+    graded_colength,
+    graded_min_gens,
+    module_colength,
+    module_min_gens,
+    normalize,
+    orient,
+    reconstruct,
+    simple_ideal,
+    verify_certificate,
+    zariski_factor,
+)
 
 ALPHA_BETA_MAX = 20  # (x,y)(x^alpha,y)(x,y^beta): 210 members
 STACK_R_MAX = 16  # prod_{l<r} (x,y^l) times one order-one factor
 STACK_FACTOR_MAX = 16  # alpha or beta of that factor: 179 and 224 members
 CASE_I_MAX = 30  # m^n (x,y^l) with n, l <= 30: 900 members
 SPLIT_MAX = 30  # (x,y^c)(x,y^d) with 2 <= c, d <= 30: 841 members
+SIMPLE_MAX = 40  # cl(x^p, y^q) with 2 <= p < q <= 40 coprime: 450 members
 
 
 def x_power(alpha):
@@ -104,11 +128,20 @@ def r2_split_family():
             yield y_power(c) * y_power(d), Branch.R2_SPLIT, 1
 
 
+def simple_family():
+    for p in range(2, SIMPLE_MAX + 1):
+        for q in range(p + 1, SIMPLE_MAX + 1):
+            if gcd(p, q) == 1:  # one simple factor of order p, and k = 1 either way
+                branch = Branch.R2_SIMPLE if p == 2 else Branch.NO_ORDER1_FACTOR
+                yield simple_ideal(SimpleFactor(p, q)), branch, 1
+
+
 @pytest.mark.parametrize(
     "family, branches",
     [
         (case_i_family, {"CaseI": 839, "N1": 29, "N2": 1, "CaseII1": 1, "R2Open": 30}),
         (r2_split_family, {"R2Split": 841}),
+        (simple_family, {"NoOrder1Factor": 431, "R2Simple": 19}),
     ],
 )
 def test_family_reaches_its_branch_k_and_verdict(family, branches):
@@ -120,3 +153,24 @@ def test_family_reaches_its_branch_k_and_verdict(family, branches):
         assert not cert.transposed, ideal
         assert (cert.branch, cert.k, cert.verdict) == (branch, k, verdict), ideal
         assert verify_certificate(cert), ideal
+
+
+PRIMITIVE_PAIRS = [SimpleFactor(p, q) for p in range(1, 9) for q in range(1, 9) if gcd(p, q) == 1]
+
+
+@given(st.lists(st.sampled_from(PRIMITIVE_PAIRS), min_size=1, max_size=6))
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_random_factor_multiset_invariants(pairs):
+    f = Factorization.from_counts(Counter(pairs))
+    ideal = reconstruct(f)
+    assert zariski_factor(ideal) == f
+    assert f.colength() == ideal.colength()
+    cert, flipped = choose_k(ideal), choose_k(ideal.transpose())
+    fields = operator.attrgetter("ideal", "branch", "k", "verdict", "checks")
+    assert fields(cert) == fields(flipped)
+    assert verify_certificate(cert)
+    oriented, _ = orient(ideal)
+    for k in range(1, oriented.order()):
+        matrix = build_Mk(oriented, k)
+        assert graded_min_gens(matrix) == module_min_gens(matrix), k
+        assert graded_colength(matrix) == module_colength(matrix), k
