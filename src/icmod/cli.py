@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decide", _cmd_decide, "run the decision procedure", ("expr",))
     p.add_argument("--close-first", action="store_true", help="close the ideal first")
     p.add_argument("--k", type=int, default=None, help="force this k")
-    p.add_argument("--show-valid-k", action="store_true", help="list certified k values")
+    p.add_argument("--show-valid-k", action="store_true", help="list the designated k values")
     p = add("enumerate", _cmd_enumerate, "all complete ideals within bounds", ())
     p.add_argument("--amax", type=_positive_int, required=True)
     p.add_argument("--bmax", type=_positive_int, required=True)

@@ -12,7 +12,7 @@ rows are the monomial multiples of the columns reduced mod BF, with entries
 position to the ground.  A row that keeps both entries of a column (t, b)
 joins z to z + gap, where the gap between the positions of t and b depends
 only on the shift t - b.  Every two-entry column has the same shift, as a
-second one puts a binomial minor in Fitt_0 (`presentation._graded_columns`),
+second one puts a binomial minor in Fitt_0 (`presentation._split`),
 so those rows form a matching, and ground edges plus a matching have rank
 |G| + |D| - #{z in D : z, z + gap in G}, G the grounded positions and D the
 matched z: an edge of the matching closes a cycle only through the ground.
@@ -260,6 +260,8 @@ def closure_power_oracle(m: Monomial, ideal: MonomialIdeal, n_max: int) -> bool:
 
     `_powers` keeps the powers of the last (I, n_max) asked about, so a sweep
     over the points of one ideal forms n_max - 1 products in all."""
+    if type(n_max) is not int:
+        raise ValueError(f"n_max must be an int, got {n_max!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     u, v = m
@@ -301,6 +303,8 @@ def enumerate_complete(bound_a: int, bound_b: int) -> Iterator[MonomialIdeal]:
     product.  The ideals found are all kept, so the walk stops once they hold
     more than `MAX_OUTPUT_SIZE` generators.
     """
+    if type(bound_a) is not int or type(bound_b) is not int:
+        raise ValueError(f"bounds must be ints, got {bound_a!r}, {bound_b!r}")
     if bound_a < 1 or bound_b < 1:
         raise ValueError("bounds must be >= 1")
     pairs = _primitive_pairs(bound_a, bound_b)

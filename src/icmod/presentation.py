@@ -62,8 +62,36 @@ def build_Mk(ideal: MonomialIdeal, k: int) -> Presentation2:
     return tuple.__new__(Presentation2, (tuple(cols),))
 
 
-def _mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return (m1[0] + m2[0], m1[1] + m2[1])
+def _split(pres: Presentation2) -> tuple[Monomial, list[Monomial], list[Monomial], list[Column]]:
+    """The shift s, the entries of the top-only and of the bottom-only columns,
+    and the two-entry columns (t, b), which must all have the shift s = t - b.
+
+    Two two-entry columns cancel in their minor iff they share a shift, so each
+    is tested against the first, and the first pair (i, j) that differs raises
+    `NonMonomialMinor`.  s is (0, 0) if there is no two-entry column.  In the
+    grading deg e_0 = (0, 0), deg e_1 = s every column is then homogeneous.
+    """
+    tops: list[Monomial] = []
+    bots: list[Monomial] = []
+    both: list[Column] = []
+    s, i = (0, 0), 0
+    for j, (t, b) in enumerate(pres.cols):
+        if b is None:
+            tops.append(t)
+        elif t is None:
+            bots.append(b)
+        else:
+            shift = (t[0] - b[0], t[1] - b[1])
+            if not both:
+                s, i = shift, j
+            elif shift != s:
+                (u, v), (c, d) = both[0]
+                raise NonMonomialMinor(
+                    f"minor of columns {i},{j} is a binomial: "
+                    f"x^{u + b[0]}y^{v + b[1]} - x^{t[0] + c}y^{t[1] + d}"
+                )
+            both.append((t, b))
+    return s, tops, bots, both
 
 
 def fitting0(pres: Presentation2) -> MonomialIdeal:
@@ -72,30 +100,11 @@ def fitting0(pres: Presentation2) -> MonomialIdeal:
     The minor t_i b_j - t_j b_i of columns i < j has a term only where one
     column has a top entry and the other a bottom entry, so only those
     products are formed: for M_k, 2r + 1 of them, not (r+2)(r+1)/2 pair tests.
-    Two two-entry columns must cancel, else the first such pair (i, j)
-    raises `NonMonomialMinor`.
+    Two two-entry columns cancel, as `_split` checks.
     """
-    tops: list[Monomial] = []  # of the top-only columns
-    bots: list[Monomial] = []  # of the bottom-only columns
-    both: list[tuple[int, Monomial, Monomial]] = []
-    for i, (t, b) in enumerate(pres.cols):
-        if b is None:
-            tops.append(t)
-        elif t is None:
-            bots.append(b)
-        else:
-            both.append((i, t, b))
-    if both:  # pairs cancel iff they share a shift t - b, so test each against the first
-        i, ti, bi = both[0]
-        for j, tj, bj in both[1:]:
-            m1, m2 = _mul(ti, bj), _mul(tj, bi)
-            if m1 != m2:
-                raise NonMonomialMinor(
-                    f"minor of columns {i},{j} is a binomial: "
-                    f"x^{m1[0]}y^{m1[1]} - x^{m2[0]}y^{m2[1]}"
-                )
+    _, tops, bots, both = _split(pres)
     gens = [(a + c, b + d) for a, b in tops for c, d in bots]
-    for _, (u, v), (c, d) in both:
+    for (u, v), (c, d) in both:
         gens += [(a + c, b + d) for a, b in tops]
         gens += [(a + u, b + v) for a, b in bots]
     if not gens:
@@ -123,36 +132,6 @@ def ell_value(ideal: MonomialIdeal, k: int) -> int:
     return min(ideal.gens[-2][1], k, br - k)
 
 
-def _graded_columns(
-    pres: Presentation2, fit0: MonomialIdeal | None
-) -> tuple[Monomial, list[tuple[Monomial, int]]]:
-    """The shift s and each column's (degree, support) in the grading, once
-    Fitt_0 (`fit0`, else `finite_fitting0`) shows R^2 / M of finite length.
-
-    The grading is deg e_0 = (0, 0), deg e_1 = s, with s = top - bottom of a
-    two-entry column ((0, 0) if there is none), so every column is
-    homogeneous.  It is consistent: two two-entry columns (t1, b1), (t2, b2)
-    with shifts s1 != s2 have the minor t1*b2 - t2*b1, whose two terms have
-    the distinct exponents b1+b2+s1 and b1+b2+s2: a binomial, on which
-    `fitting0` raises `NonMonomialMinor`.  That call comes first, so there
-    is no fallback for presentations without a consistent grading.
-    Support is a bitmask: 1 = top row only, 2 = bottom only, 3 = both.
-    """
-    if fit0 is None:
-        finite_fitting0(pres)
-    s = next(
-        ((t[0] - b[0], t[1] - b[1]) for t, b in pres.cols if t is not None and b is not None),
-        (0, 0),
-    )
-    cols: list[tuple[Monomial, int]] = []
-    for top, bot in pres.cols:
-        if bot is None:
-            cols.append((top, 1))
-        else:
-            cols.append(((bot[0] + s[0], bot[1] + s[1]), 2 if top is None else 3))
-    return s, cols
-
-
 def graded_colength(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:
     """Length of R^2 / M from the exact sequence of the projection p_0 onto
     e_0, with K the kernel of p_0 on M, the part of M in R e_1,
@@ -160,33 +139,38 @@ def graded_colength(pres: Presentation2, fit0: MonomialIdeal | None = None) -> i
         0 -> R e_1 / K -> R^2 / M -> R / p_0(M) -> 0,
 
     so it is the sum of two staircase colengths, with no truncation.  p_0(M)
-    is the ideal of the top entries.  K is monomial: in each degree D the
-    column multiples are e_0 (top only), e_1 (bottom only) or e_0 + e_1
-    (both), so e_1 lies in M_D when a bottom-only column, or a top-only and a
-    two-entry column, reach D.  K is generated by the bottom entries of the
-    bottom-only columns and lcm(t - s, b') for each top-only t and two-entry
-    (t', b'); in degrees, lcm(t, t') less s.  Fitt_0 lies in both ideals, so
-    both staircases are m-primary.  `fit0` is Fitt_0, if the caller has it.
+    is the ideal of the top entries.  K is monomial: in each degree D of the
+    grading of `_split` the column multiples are e_0 (top only), e_1 (bottom
+    only) or e_0 + e_1 (both), so e_1 lies in M_D when a bottom-only column,
+    or a top-only and a two-entry column, reach D.  K is generated by the
+    bottom-only entries and lcm(t - s, b') for each top-only t and two-entry
+    (t', b').  Fitt_0 lies in both ideals, so both staircases are m-primary;
+    `finite_fitting0` shows it unless the caller has Fitt_0 as `fit0`.
     """
-    s, cols = _graded_columns(pres, fit0)
-    both = [deg for deg, kind in cols if kind == 3]
-    kernel = [deg for deg, kind in cols if kind == 2]
-    kernel += [(max(a, c), max(b, d)) for (a, b), kind in cols if kind == 1 for c, d in both]
-    tops = unchecked_normalize(deg for deg, kind in cols if kind != 2)
-    kernel_ideal = unchecked_normalize((a - s[0], b - s[1]) for a, b in kernel)
-    return tops.colength() + kernel_ideal.colength()
+    if fit0 is None:
+        finite_fitting0(pres)
+    (du, dv), tops, bots, both = _split(pres)
+    kernel = bots + [(max(a - du, c), max(b - dv, d)) for a, b in tops for _, (c, d) in both]
+    image = unchecked_normalize(tops + [t for t, _ in both])
+    return image.colength() + unchecked_normalize(kernel).colength()
 
 
 def graded_min_gens(pres: Presentation2, fit0: MonomialIdeal | None = None) -> int:
-    """mu(M) = sum over column degrees D of dim (M / mM)_D.
+    """mu(M) = sum over column degrees D of dim (M / mM)_D, in the grading of
+    `_split`, once Fitt_0 (`fit0`, else `finite_fitting0`) shows R^2 / M of
+    finite length.
 
     The column multiples in degree D keep their columns' supports and span
     min(2, distinct supports), as R^2 has dimension <= 2 there.  (mM)_D is
     spanned by those of the columns of degree < D, so one scan per D collects
-    both sets of supports, as bit masks.  `fit0` is Fitt_0 of `pres`, if the
-    caller has it.
+    both sets of supports, as bit masks: 1 = top only, 2 = bottom only, 3 = both.
     """
-    _, cols = _graded_columns(pres, fit0)
+    if fit0 is None:
+        finite_fitting0(pres)
+    (du, dv), tops, bots, both = _split(pres)
+    cols = [(t, 1) for t in tops]
+    cols += [((a + du, b + dv), 2) for a, b in bots]
+    cols += [(t, 3) for t, _ in both]
     mu = 0
     for deg in {deg for deg, _ in cols}:
         u, v = deg

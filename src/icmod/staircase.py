@@ -122,6 +122,8 @@ class MonomialIdeal(NamedTuple):
     __mul__ = product
 
     def power(self, n: int) -> "MonomialIdeal":
+        if type(n) is not int:
+            raise ValueError(f"power exponent must be an int, got {n!r}")
         if n < 1:
             raise ValueError(f"power exponent must be >= 1, got {n}")
         result: MonomialIdeal | None = None

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from icmod import format_ideal, module_colength, module_min_gens, parse_ideal, render_svg
-from icmod.cli import main
+from icmod.cli import build_parser, main
 from icmod.expr import format_monomial
 
 STAIR_A_SRC = "(x^5, x^4*y^2, x^3*y^3, x^2*y^4, x*y^6, y^7)"
@@ -212,6 +212,11 @@ class TestDecide:
         _, out, _ = run(capsys, *argv)
         doc = json.loads(out)
         assert (doc["valid_k"], doc["verdict"]) == ([], "Unknown")
+        # the designated k, not every k the chain certifies
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["decide", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--show-valid-k list the designated k values" in help_text
 
     def test_deterministic_json(self, capsys):
         first = run(capsys, "decide", STAIR_B_SRC, "--json")[1]

@@ -233,6 +233,58 @@ class TestChooseK:
                     simple_ideal(f)
         assert hulled == []
 
+    def test_one_fitting0_per_decision(self, monkeypatch, full_enumeration):
+        # a decision forms Fitt_0 of M_k once, and so does its verification:
+        # the graded counts and the module oracle are handed it, not re-forming it
+        from icmod import presentation
+
+        formed = []
+        fitting0 = presentation.fitting0
+
+        def counted(pres):
+            formed.append(pres)
+            return fitting0(pres)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("icmod") and vars(module).get("fitting0") is fitting0:
+                monkeypatch.setattr(module, "fitting0", counted)
+        decided = 0
+        for ideal in full_enumeration:
+            formed.clear()
+            cert = choose_k(ideal)
+            once = [] if cert.matrix is None else [cert.matrix]
+            assert formed == once, ideal
+            formed.clear()
+            assert verify_certificate(cert)
+            assert formed == once, ideal
+            decided += len(once)
+        assert decided == 327
+
+    def test_a_fault_in_the_split_shows_up(self, monkeypatch, full_enumeration):
+        # `fitting0` reads no shift, so a wrong one reaches only the graded
+        # counts, and the module oracle's re-run disagrees; a dropped top-only
+        # entry changes Fitt_0, and with it every verdict
+        from icmod import presentation
+
+        split = presentation._split
+        certs = [c for c in map(choose_k, full_enumeration) if c.matrix is not None]
+        assert sum(c.verdict == Verdict.INDECOMPOSABLE for c in certs) == 327
+
+        def moved_shift(pres):
+            (u, v), tops, bots, both = split(pres)
+            return (u + 1, v), tops, bots, both
+
+        def dropped_top(pres):
+            s, tops, bots, both = split(pres)
+            return s, tops[:-1], bots, both
+
+        with monkeypatch.context() as patch:
+            patch.setattr(presentation, "_split", moved_shift)
+            assert all(certificate_diff(choose_k(c.input)) for c in certs)
+        with monkeypatch.context() as patch:
+            patch.setattr(presentation, "_split", dropped_top)
+            assert all(choose_k(c.input).verdict != c.verdict for c in certs)
+
     def test_close_first(self):
         raw = normalize([(3, 0), (0, 2)])
         with pytest.raises(NotComplete):

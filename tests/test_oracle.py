@@ -177,7 +177,7 @@ def assert_fitting_box_agrees(pres):
 def two_entry_column(rng, shift, reach):
     """A random column (top, bottom) with top - bottom = `shift`.  Fitt_0 is
     monomial only when every two-entry column has the same shift (see
-    `presentation._graded_columns`), so the presentations here share one."""
+    `presentation._split`), so the presentations here share one."""
     u, v = rng.randint(0, reach), rng.randint(0, reach)
     s, t = shift
     return (u + max(s, 0), v + max(t, 0)), (u + max(-s, 0), v + max(-t, 0))

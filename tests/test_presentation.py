@@ -21,7 +21,6 @@ from icmod import (
     normalize,
 )
 from icmod.engine import orient
-from icmod.presentation import _graded_columns
 from icmod.staircase import MonomialIdeal, unchecked_normalize
 from tests.test_oracle import SHAPES, random_presentation, shaped_presentation
 
@@ -236,7 +235,8 @@ def graded_colength_by_points(pres: Presentation2) -> int:
     [0, a_0) x [0, b_r) and its translate by s.  O(a_0 * b_r * r), so only
     for tests."""
     ideal = fitting0(pres)
-    s, cols = _graded_columns(pres, None)
+    s = next(((t[0] - b[0], t[1] - b[1]) for t, b in pres.cols if t and b), (0, 0))
+    cols = [(t or (b[0] + s[0], b[1] + s[1]), bool(t) + 2 * bool(b)) for t, b in pres.cols]
     box = {
         (u + du, v + dv)
         for du, dv in ((0, 0), s)
@@ -333,6 +333,28 @@ class TestGradedInvariants:
         for invariant in (graded_colength, graded_min_gens):
             with pytest.raises(NonMonomialMinor):
                 invariant(pres)
+
+    def test_graded_counts_raise_the_fitting0_text(self):
+        # the split that gives the shift checks it, with or without Fitt_0 handed in
+        rng = random.Random(3)
+
+        def entry():
+            return rng.randint(0, 4), rng.randint(0, 4)
+
+        for _ in range(200):
+            cols = [(entry(), entry()) for _ in range(rng.randint(2, 4))]
+            cols += [(entry(), None), (None, entry())][: rng.randint(0, 2)]
+            rng.shuffle(cols)
+            pres = Presentation2(tuple(cols))
+            if len({(t[0] - b[0], t[1] - b[1]) for t, b in cols if t and b}) < 2:
+                continue
+            with pytest.raises(NonMonomialMinor) as want:
+                fitting0(pres)
+            for invariant in (graded_colength, graded_min_gens):
+                for fit0 in (None, STAIR_B):
+                    with pytest.raises(NonMonomialMinor) as caught:
+                        invariant(pres, fit0)
+                    assert str(caught.value) == str(want.value), pres
 
     def test_cancelling_minor_matches_oracle(self):
         col = ((1, 0), (0, 1))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icmod import MonomialIdeal, NotMPrimary, normalize
+from icmod import MonomialIdeal, NotMPrimary, closure_power_oracle, enumerate_complete, normalize
 from tests.conftest import brute_colength
 
 
@@ -169,6 +169,24 @@ class TestArithmetic:
     def test_power_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             normalize([(1, 0), (0, 1)]).power(0)
+
+    @pytest.mark.parametrize(
+        "value, message", [(True, "int"), (2.0, "int"), ("2", "int"), (0, ">= 1")]
+    )
+    def test_integer_arguments_are_ints(self, value, message):
+        # the rule of `normalize` and of k: a bool, a float or a str is a
+        # ValueError, not converted and not a TypeError; below 1 keeps its message
+        m = normalize([(1, 0), (0, 1)])
+        calls = [
+            lambda: m.power(value),
+            lambda: m**value,
+            lambda: list(enumerate_complete(value, 3)),
+            lambda: list(enumerate_complete(3, value)),
+            lambda: closure_power_oracle((1, 1), m, value),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
 
     @given(random_ideals(), random_ideals())
     @settings(max_examples=40)
